@@ -16,6 +16,10 @@ from .graph import DiffGraph, DiffNode, PathResult, find_optimal_paths
 from .simon import ParameterError
 
 
+class DominanceError(RuntimeError):
+    """Graph-guided search returned a path ranked below one MCS found."""
+
+
 @dataclass(frozen=True)
 class McsConfig:
     playouts: int
@@ -119,16 +123,18 @@ def compare(graph: DiffGraph, start: int, dst: int,
     """Run MCS and graph-guided search on identical inputs.
 
     The deterministic search is exhaustive, so its best path must rank at
-    least as well as anything the playouts found; that is asserted here.
+    least as well as anything the playouts found; DominanceError is
+    raised otherwise.
     """
     cfg = McsConfig(mcs_config.playouts, mcs_config.seed, mcs_config.max_depth,
                     mcs_config.target_hw, dst)
     mcs_report = mcs_search(graph, start, cfg)
     graph_report = graph_guided_search(graph, start, dst, cfg.max_depth)
-    if mcs_report.best_path is not None:
-        assert graph_report.best_path is not None
-        assert graph_report.best_path.rank_key <= mcs_report.best_path.rank_key, (
-            "deterministic search must dominate sampled search")
+    mcs_best, graph_best = mcs_report.best_path, graph_report.best_path
+    if mcs_best is not None and (graph_best is None or graph_best.rank_key > mcs_best.rank_key):
+        raise DominanceError(
+            f"graph search from {start} to {dst} found {graph_best} but Monte Carlo "
+            f"search found the better {mcs_best}")
     return mcs_report, graph_report
 
 

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParameterError, graphmod.RuleError, pddtmod.PddtOverflowError,
-            FileNotFoundError, ValueError) as exc:
+            bench.DominanceError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

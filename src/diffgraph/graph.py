@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .differential import dyadic_str
-from .pddt import Pddt
+from .pddt import Pddt, decode_differential_csv, encode_differential_csv
 from .simon import ParameterError
 
 NODE_FIELDS = ("input_a", "input_b", "output", "weight", "hw")
@@ -261,12 +261,11 @@ def _hex(x: int, n: int) -> str:
 
 
 def to_nodes_csv(graph: DiffGraph) -> bytes:
-    n = graph.word_size
-    lines = ["id,input_a,input_b,output,weight,hw"]
-    for nd in graph.nodes:
-        lines.append(f"{nd.node_id},{_hex(nd.a, n)},{_hex(nd.b, n)},{_hex(nd.c, n)},"
-                     f"{dyadic_str(nd.hw)},{nd.hw}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    nodes = graph.nodes
+    return encode_differential_csv(
+        "id,input_a,input_b,output,weight,hw", [nd.node_id for nd in nodes],
+        [nd.a for nd in nodes], [nd.b for nd in nodes], [nd.c for nd in nodes],
+        [nd.hw for nd in nodes], graph.word_size)
 
 
 def to_edges_csv(graph: DiffGraph) -> bytes:
@@ -278,16 +277,12 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     """Rebuild a graph from its nodes+edges CSV export."""
-    nodes = []
-    word_size = 4
-    for line in nodes_csv.decode("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("id,"):
-            continue
-        i, a, b, c, _dp, hw = line.split(",")
-        word_size = max(word_size, (len(a) - 2) * 4)
-        nodes.append(DiffNode(int(i), int(a, 16), int(b, 16), int(c, 16),
-                              2.0 ** -int(hw), int(hw)))
+    cols = decode_differential_csv(nodes_csv)
+    nodes = [
+        DiffNode(i, a, b, c, 2.0 ** -hw, hw)
+        for i, a, b, c, hw in zip(cols.ids.tolist(), cols.a.tolist(), cols.b.tolist(),
+                                  cols.c.tolist(), cols.hw.tolist())
+    ]
     edges = []
     for line in edges_csv.decode("utf-8").splitlines():
         line = line.strip()
@@ -295,7 +290,7 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
             continue
         src, dst, label = line.split(",")
         edges.append((int(src), int(dst), label))
-    return DiffGraph(nodes, edges, word_size)
+    return DiffGraph(nodes, edges, cols.word_size)
 
 
 def to_graphml(graph: DiffGraph) -> bytes:

@@ -1,10 +1,13 @@
 import pytest
 
 from conftest import make_diamond, make_two_node_graph
+from diffgraph import bench
 from diffgraph.bench import (
     FIG_TREE_DEPTH,
     FIG_TREE_LEAVES,
+    DominanceError,
     McsConfig,
+    SearchReport,
     build_fig_tree_fixture,
     compare,
     graph_guided_search,
@@ -12,7 +15,7 @@ from diffgraph.bench import (
     mcs_search,
     min_weight_leaf_path,
 )
-from diffgraph.graph import DiffGraph, DiffNode, to_nodes_csv, to_edges_csv
+from diffgraph.graph import DiffGraph, DiffNode, PathResult, to_nodes_csv, to_edges_csv
 from diffgraph.simon import ParameterError
 
 
@@ -106,6 +109,15 @@ class TestCompare:
         mcs_report, graph_report = compare(hub_graph, 10, 2,
                                            McsConfig(playouts=1000, seed=11, max_depth=4))
         assert graph_report.best_path.rank_key <= mcs_report.best_path.rank_key
+
+    @pytest.mark.parametrize("graph_best", [PathResult((0, 2, 3), 1.375), None])
+    def test_dominance_violation_raises(self, monkeypatch, graph_best):
+        def worse_search(graph, start, dst, max_hops):
+            return SearchReport("graph", 0, len(graph.nodes), graph_best, 0.0)
+
+        monkeypatch.setattr(bench, "graph_guided_search", worse_search)
+        with pytest.raises(DominanceError):
+            compare(make_diamond(), 0, 3, McsConfig(playouts=1000, seed=5, max_depth=3))
 
     def test_report_csv(self):
         g = make_diamond()

@@ -65,6 +65,15 @@ class TestPddtCommands:
         assert "entries: 1372" in out
         assert "min_dp: 0.125" in out
 
+    def test_malformed_table_is_runtime_error(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("id,a,b,c,dp,hw\n0,0x0,0x0,0x0,1,0\n1,0x1,0xzz,0x0,0.5,1\n")
+        assert run(tmp_path, "pddt", "sample", "--input", table,
+                   "--out", tmp_path / "s.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: field 3 must be 0x")
+        assert "Traceback" not in err
+
     def test_bad_threshold_is_runtime_error(self, tmp_path):
         assert run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 2.0,
                    "--out", tmp_path / "x.csv") == 1

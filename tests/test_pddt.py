@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from diffgraph.differential import brute_force_dp
+from diffgraph import pddt as pddt_module
+from diffgraph.differential import brute_force_dp, dyadic_str
 from diffgraph.pddt import (
     Pddt,
     PddtConfig,
@@ -187,3 +189,84 @@ class TestSerialization:
         t = Pddt.from_text_files([text], 4)
         assert t.triples() == {(1, 1, 0), (3, 3, 0)}
         assert list(t.hw) == [1, 2]
+
+
+def seed_to_csv(table):
+    """Per-row reference formatter: the oracle for the numpy writer."""
+    n = table.config.word_size
+    digits = -(-n // 4)
+    lines = ["id,a,b,c,dp,hw"]
+    for i in range(len(table)):
+        hw = int(table.hw[i])
+        lines.append(
+            f"{i},0x{int(table.a[i]):0{digits}x},0x{int(table.b[i]):0{digits}x},"
+            f"0x{int(table.c[i]):0{digits}x},{dyadic_str(hw)},{hw}"
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@st.composite
+def tables(draw, unique=False):
+    n = draw(st.integers(1, 32))
+    word = st.integers(0, (1 << n) - 1)
+    triples = st.tuples(word, word, word)
+    keys = draw(st.lists(triples, min_size=1, max_size=40, unique=unique))
+    rows = sorted((a, b, c, draw(st.integers(0, min(n, 20)))) for a, b, c in keys)
+    return Pddt(PddtConfig(n, 0.5), *zip(*rows))
+
+
+class TestCodec:
+    @given(tables())
+    def test_matches_reference_formatter_and_roundtrips(self, table):
+        data = table.to_csv()
+        assert data == seed_to_csv(table)
+        back = Pddt.from_csv(data)
+        assert back.config.word_size == -(-table.config.word_size // 4) * 4
+        for col in ("a", "b", "c", "hw"):
+            assert getattr(back, col).tolist() == getattr(table, col).tolist()
+
+    @given(tables(unique=True), st.randoms(use_true_random=False))
+    def test_shuffled_rows_come_back_sorted(self, table, rng):
+        header, *rows = table.to_csv().splitlines()
+        rng.shuffle(rows)
+        back = Pddt.from_csv(b"\n".join([header] + rows) + b"\n")
+        for col in ("a", "b", "c", "hw"):
+            assert getattr(back, col).tolist() == getattr(table, col).tolist()
+
+    def test_chunk_boundaries(self, monkeypatch):
+        table = build_pddt(PddtConfig(8, 0.1))
+        expected = seed_to_csv(table)
+        monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(pddt_module, "_READ_CHUNK_BYTES", 100)
+        assert table.to_csv() == expected
+        # CRLF, a comment and a blank line first; a bad line last, in the last chunk
+        lines = expected.decode().split("\n")
+        data = "\r\n".join(["# comment", ""] + lines[:-2] + ["0,0x01,0x01"]).encode()
+        with pytest.raises(ValueError, match=f"^line {len(lines) + 1}: "):
+            Pddt.from_csv(data)
+        back = Pddt.from_csv(data[:data.rindex(b"\r\n")])  # no final newline
+        assert back.to_csv() == expected[:expected.rindex(b"\n", 0, -1) + 1]
+
+    def test_empty_input(self):
+        for data in (b"", b"id,a,b,c,dp,hw\n", b"# only a comment\n\n"):
+            t = Pddt.from_csv(data)
+            assert len(t) == 0 and t.config.word_size == 4 and t.config.p_threshold == 1.0
+
+    @pytest.mark.parametrize("line, message", [
+        ("0,0x1,0x1,0x0,0.5", "expected 6 comma-separated fields, got 5"),
+        ("0,0x1,0x1,0x0,0.5,1,7", "expected 6 comma-separated fields, got 7"),
+        ("0,0x1,0xg1,0x0,0.5,1", "field 3 must be 0x and 1 to 16 hex digits, got '0xg1'"),
+        ("0,1,0x1,0x0,0.5,1", "field 2 must be 0x and 1 to 16 hex digits, got '1'"),
+        ("0,0x1,0x1,0x,0.5,1", "field 4 must be 0x and 1 to 16 hex digits, got '0x'"),
+        ("0,0x1,0x1,0x" + "0" * 17 + ",0.5,1", "field 4 must be 0x and 1 to 16 hex digits"),
+        ("0,0x1,0x1,0x0,0.5,256", "field 6 must be a decimal weight from 0 to 255, got '256'"),
+        ("0,0x1,0x1,0x0,0.5,-1", "field 6 must be a decimal weight from 0 to 255, got '-1'"),
+        ("0,0x1,0x1,0x0,0.5,", "field 6 must be a decimal weight from 0 to 255, got ''"),
+        ("x,0x1,0x1,0x0,0.5,1", "field 1 must be a decimal id"),
+    ])
+    def test_malformed_line_names_its_number(self, line, message):
+        data = ("# seed=1\nid,a,b,c,dp,hw\n\n0,0x0,0x0,0x0,1,0\n" + line + "\n"
+                "1,0x1,0x1,0x0,0.5,1\n0,bad\n").encode()
+        with pytest.raises(ValueError) as err:
+            Pddt.from_csv(data)
+        assert str(err.value).startswith(f"line 5: {message}")
