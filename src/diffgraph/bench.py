@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from .graph import DiffGraph, DiffNode, PathResult, find_optimal_paths
+from .graph import DiffGraph, DiffNode, PathResult, PathSearchWork, find_optimal_paths
 from .simon import ParameterError
 
 
@@ -25,7 +26,6 @@ class McsConfig:
     playouts: int
     seed: int = 0
     max_depth: int = 16
-    target_hw: float = 0.0
     target_node: Optional[int] = None
 
     def __post_init__(self):
@@ -37,19 +37,24 @@ class McsConfig:
 
 @dataclass
 class SearchReport:
+    """One search's answer and effort. `playouts` counts Monte Carlo
+    playouts (0 for graph search); `expansions` counts playout steps
+    walked for MCS and nodes expanded by the hop-layered graph search."""
+
     method: str
     seed: int
-    playouts_or_expansions: int
+    playouts: int
     best_path: Optional[PathResult]
     elapsed_ms: float
+    expansions: int = 0
     trace: List[Optional[PathResult]] = field(default_factory=list)
     walk_totals: List[float] = field(default_factory=list)
 
     def to_csv_row(self) -> str:
         hops = self.best_path.hops if self.best_path else ""
         dp = self.best_path.total_dp if self.best_path else ""
-        return (f"{self.method},{self.seed},{self.playouts_or_expansions},"
-                f"{hops},{dp},{self.playouts_or_expansions},{self.elapsed_ms:.3f}")
+        return (f"{self.method},{self.seed},{self.playouts},"
+                f"{hops},{dp},{self.expansions},{self.elapsed_ms:.3f}")
 
     @staticmethod
     def csv_header() -> str:
@@ -58,18 +63,32 @@ class SearchReport:
 
 def _playout(graph: DiffGraph, start: int, rng: random.Random,
              max_depth: int) -> Tuple[List[int], float]:
-    """One random walk over unvisited successors, capped at max_depth hops."""
+    """One random walk over unvisited successors, capped at max_depth hops.
+
+    Each step draws the k-th unvisited entry of the current node's sorted
+    row, k uniform, and skips the visited entries, found by bisection.
+    Drawing k with `rng.choice(range(n))` consumes the RNG exactly as
+    choosing from the list of the n unvisited entries would.
+    """
     path = [start]
-    visited = {start}
     total = graph.node(start).dp
     while len(path) - 1 < max_depth:
-        options = [v for v in sorted(set(graph.successors[path[-1]])) if v not in visited]
-        if not options:
+        row = graph.successors[path[-1]]
+        taken = []
+        for w in path:
+            i = bisect_left(row, w)
+            if i < len(row) and row[i] == w:
+                taken.append(i)
+        unvisited = len(row) - len(taken)
+        if unvisited == 0:
             break
-        nxt = rng.choice(options)
-        path.append(nxt)
-        visited.add(nxt)
-        total += graph.node(nxt).dp
+        k = rng.choice(range(unvisited))
+        for i in sorted(taken):
+            if i > k:
+                break
+            k += 1
+        path.append(row[k])
+        total += graph.node(row[k]).dp
     return path, total
 
 
@@ -93,9 +112,11 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     best: Optional[PathResult] = None
     trace: List[Optional[PathResult]] = []
     walk_totals: List[float] = []
+    steps = 0
     for i in range(config.playouts):
         rng = random.Random(f"mcs:{config.seed}:{i}")
         path, total = _playout(graph, start, rng, config.max_depth)
+        steps += len(path) - 1
         walk_totals.append(total)
         cand = _candidate(graph, path, config.target_node)
         if cand is not None and len(cand.node_sequence) > 1:
@@ -103,7 +124,7 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
                 best = cand
         trace.append(best)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return SearchReport("mcs", config.seed, config.playouts, best, elapsed,
+    return SearchReport("mcs", config.seed, config.playouts, best, elapsed, steps,
                         trace, walk_totals)
 
 
@@ -111,11 +132,11 @@ def graph_guided_search(graph: DiffGraph, start: int, dst: int,
                         max_hops: int) -> SearchReport:
     """Deterministic exhaustive search under the shared ranking."""
     t0 = time.perf_counter()
-    paths = find_optimal_paths(graph, start, dst, max_hops, limit=1)
+    work = PathSearchWork()
+    paths = find_optimal_paths(graph, start, dst, max_hops, limit=1, work=work)
     elapsed = (time.perf_counter() - t0) * 1000.0
     best = paths[0] if paths else None
-    # expansions: simple paths touched is not tracked; report node count bound
-    return SearchReport("graph", 0, len(graph.nodes), best, elapsed)
+    return SearchReport("graph", 0, 0, best, elapsed, work.expansions)
 
 
 def compare(graph: DiffGraph, start: int, dst: int,
@@ -126,8 +147,7 @@ def compare(graph: DiffGraph, start: int, dst: int,
     least as well as anything the playouts found; DominanceError is
     raised otherwise.
     """
-    cfg = McsConfig(mcs_config.playouts, mcs_config.seed, mcs_config.max_depth,
-                    mcs_config.target_hw, dst)
+    cfg = replace(mcs_config, target_node=dst)
     mcs_report = mcs_search(graph, start, cfg)
     graph_report = graph_guided_search(graph, start, dst, cfg.max_depth)
     mcs_best, graph_best = mcs_report.best_path, graph_report.best_path
@@ -166,7 +186,7 @@ def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
     results: List[PathResult] = []
 
     def walk(path: List[int], total: float):
-        succ = sorted(set(graph.successors[path[-1]]) - set(path))
+        succ = [v for v in graph.successors[path[-1]] if v not in path]
         if not succ:
             results.append(PathResult(tuple(path), total))
             return

@@ -7,9 +7,12 @@ database.  All queries are read-only and deterministic.
 
 from __future__ import annotations
 
+import heapq
 import operator
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .differential import dyadic_str
 from .pddt import Pddt, decode_differential_csv, encode_differential_csv
@@ -83,7 +86,11 @@ EDGE_RULE_PRESETS = {"default": default_edge_rule, "printed": printed_edge_rule}
 
 
 class DiffGraph:
-    """Immutable directed graph over differential nodes."""
+    """Immutable directed graph over differential nodes.
+
+    `successors[u]` and `predecessors[v]` are ascending id rows with
+    duplicate edges removed; `edges` keeps every edge, duplicates included.
+    """
 
     def __init__(self, nodes: Sequence[DiffNode], edges: Sequence[Tuple[int, int, str]],
                  word_size: int):
@@ -95,18 +102,24 @@ class DiffGraph:
             raise ParameterError("duplicate node ids")
         self.successors: Dict[int, List[int]] = {nd.node_id: [] for nd in self.nodes}
         self.predecessors: Dict[int, List[int]] = {nd.node_id: [] for nd in self.nodes}
+        # edges are sorted, so every row fills in ascending order and a
+        # duplicate (src, dst) pair follows its first copy directly
         for src, dst, _label in self.edges:
-            if src not in self._by_id or dst not in self._by_id:
+            row = self.successors.get(src)
+            column = self.predecessors.get(dst)
+            if row is None or column is None:
                 raise ParameterError(f"edge ({src}, {dst}) references a missing node")
-            self.successors[src].append(dst)
-            self.predecessors[dst].append(src)
+            if not row or row[-1] != dst:
+                row.append(dst)
+                column.append(src)
 
     def node(self, node_id: int) -> DiffNode:
         return self._by_id[node_id]
 
     def neighbors(self, node_id: int) -> List[int]:
         """Adjacent nodes ignoring direction (undirected matching)."""
-        return sorted(set(self.successors[node_id]) | set(self.predecessors[node_id]))
+        merged = heapq.merge(self.successors[node_id], self.predecessors[node_id])
+        return list(dict.fromkeys(merged))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.nodes == other.nodes
@@ -145,40 +158,50 @@ class GraphStats:
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
-    in_deg = {nd.node_id: len(graph.predecessors[nd.node_id]) for nd in graph.nodes}
-    out_deg = {nd.node_id: len(graph.successors[nd.node_id]) for nd in graph.nodes}
+    ids = [nd.node_id for nd in graph.nodes]
+    in_deg = dict.fromkeys(ids, 0)
+    out_deg = dict.fromkeys(ids, 0)
+    for src, dst, _label in graph.edges:
+        out_deg[src] += 1
+        in_deg[dst] += 1
     max_in = max(in_deg.values(), default=0)
     hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
 
-    # undirected components by BFS over sorted ids
-    seen = set()
+    # undirected neighbour sets, self excluded, of the nodes that have an
+    # edge to another node; every other node is a component of its own
+    adj: Dict[int, Set[int]] = {}
+    for u, row in graph.successors.items():
+        for v in row:
+            if u != v:
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set()).add(u)
+
+    seen: Set[int] = set()
     components = []
-    for nd in graph.nodes:
-        if nd.node_id in seen:
+    for x in ids:
+        if x not in adj:
+            components.append([x])
             continue
-        comp, queue = [], [nd.node_id]
-        seen.add(nd.node_id)
+        if x in seen:
+            continue
+        comp, queue = [], deque([x])
+        seen.add(x)
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             comp.append(u)
-            for v in graph.neighbors(u):
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
         components.append(sorted(comp))
 
-    clustering = {}
-    for nd in graph.nodes:
-        nbrs = [v for v in graph.neighbors(nd.node_id) if v != nd.node_id]
+    # each linked pair {u, v} of x's neighbours is counted from u and from v
+    clustering = dict.fromkeys(ids, 0.0)
+    for x, nbrs in adj.items():
         k = len(nbrs)
-        if k < 2:
-            clustering[nd.node_id] = 0.0
-            continue
-        links = sum(
-            1 for i, u in enumerate(nbrs) for v in nbrs[i + 1:]
-            if v in graph.successors[u] or u in graph.successors[v]
-        )
-        clustering[nd.node_id] = 2.0 * links / (k * (k - 1))
+        if k >= 2:
+            links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
+            clustering[x] = 2.0 * links / (k * (k - 1))
 
     return GraphStats(len(graph.nodes), len(graph.edges), in_deg, out_deg,
                       hubs, components, clustering)
@@ -204,42 +227,82 @@ class PathResult:
         return (self.hops, -self.total_dp, self.node_sequence)
 
 
+@dataclass
+class PathSearchWork:
+    """Work counted by one find_optimal_paths call: the nodes whose
+    successor rows the hop-layered search scanned."""
+
+    expansions: int = 0
+
+
 def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
-                       limit: int) -> List[PathResult]:
-    """All simple directed paths src -> dst within max_hops, best-ranked first."""
+                       limit: int, work: Optional[PathSearchWork] = None) -> List[PathResult]:
+    """The `limit` best-ranked simple directed paths src -> dst within max_hops.
+
+    Paths are found one hop count at a time, fewest hops first, so the
+    search stops at the first hop count whose paths reach `limit`. A
+    backward breadth-first search from dst gives each node's distance to
+    it; a partial path is dropped as soon as its last node cannot reach
+    dst in the hops it has left. `work`, when given, is filled in.
+    """
     for node_id, name in ((src, "src"), (dst, "dst")):
         if node_id not in graph.successors:
             raise ParameterError(f"{name} node {node_id} not in graph")
     if max_hops < 1:
         raise ParameterError(f"max_hops {max_hops} < 1")
-    results: List[PathResult] = []
-
-    def dp_of(u: int) -> float:
-        return graph.node(u).dp
-
+    if limit < 1:
+        raise ParameterError(f"limit {limit} < 1")
+    by_id = graph._by_id
     if src == dst:
-        return [PathResult((src,), dp_of(src))][:limit]
+        return [PathResult((src,), by_id[src].dp)]
 
+    dist = {dst: 0}
+    frontier = [dst]
+    for d in range(1, max_hops + 1):
+        reached = []
+        for v in frontier:
+            for u in graph.predecessors[v]:
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
+    if src not in dist:
+        return []
+
+    successors = graph.successors
     path = [src]
     on_path = {src}
+    layer: List[PathResult] = []
+    expanded = 0
 
-    def dfs(u: int, total: float):
-        if len(path) - 1 >= max_hops:
+    def extend(u: int, total: float, left: int):
+        """Every simple path that continues the current one from its last
+        node u to dst in exactly `left` more hops."""
+        nonlocal expanded
+        expanded += 1
+        row = successors[u]
+        if left == 1:
+            i = bisect_left(row, dst)
+            if i < len(row) and row[i] == dst:
+                layer.append(PathResult(tuple(path) + (dst,), total + by_id[dst].dp))
             return
-        for v in sorted(set(graph.successors[u])):
-            if v in on_path:
-                continue
-            if v == dst:
-                results.append(PathResult(tuple(path) + (v,), total + dp_of(v)))
-                continue
-            path.append(v)
-            on_path.add(v)
-            dfs(v, total + dp_of(v))
-            path.pop()
-            on_path.remove(v)
+        for v in row:
+            if dist.get(v, left) < left and v not in on_path and v != dst:
+                path.append(v)
+                on_path.add(v)
+                extend(v, total + by_id[v].dp, left - 1)
+                path.pop()
+                on_path.remove(v)
 
-    dfs(src, dp_of(src))
-    results.sort(key=lambda p: p.rank_key)
+    results: List[PathResult] = []
+    for hops in range(dist[src], max_hops + 1):
+        layer.clear()
+        extend(src, by_id[src].dp, hops)
+        results.extend(sorted(layer, key=lambda p: p.rank_key))
+        if len(results) >= limit:
+            break
+    if work is not None:
+        work.expansions += expanded
     return results[:limit]
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from diffgraph.graph import DiffGraph, DiffNode, build_graph, default_edge_rule
 from diffgraph.pddt import Pddt, PddtConfig
@@ -35,3 +36,15 @@ def make_diamond() -> DiffGraph:
 def make_two_node_graph() -> DiffGraph:
     nodes = [DiffNode(0, 1, 1, 0, 0.5, 1), DiffNode(1, 3, 3, 0, 0.25, 2)]
     return DiffGraph(nodes, [(0, 1, "OUTPUT_WEIGHT")], 4)
+
+
+@st.composite
+def digraphs(draw, max_nodes=9):
+    """Up to max_nodes nodes with distinct, unordered ids, and edges that
+    may be self-loops or repeat a (src, dst) pair under any label."""
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=max_nodes, unique=True))
+    hws = draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
+    nodes = [DiffNode(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in zip(ids, hws)]
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.sampled_from(["E", "F"])), max_size=40))
+    return DiffGraph(nodes, edges, 4)

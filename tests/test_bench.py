@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from conftest import make_diamond, make_two_node_graph
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import digraphs, make_diamond, make_two_node_graph
 from diffgraph import bench
 from diffgraph.bench import (
     FIG_TREE_DEPTH,
@@ -17,6 +20,37 @@ from diffgraph.bench import (
 )
 from diffgraph.graph import DiffGraph, DiffNode, PathResult, to_nodes_csv, to_edges_csv
 from diffgraph.simon import ParameterError
+
+
+def reference_mcs(graph, start, config):
+    """(best_path, trace, walk_totals) of playouts that choose among the
+    unvisited successors listed in full at every step."""
+    successors = {u: [] for u in graph.successors}
+    for src, dst, _label in graph.edges:
+        successors[src].append(dst)
+    dp_of = {nd.node_id: nd.dp for nd in graph.nodes}
+    best, trace, walk_totals = None, [], []
+    for i in range(config.playouts):
+        rng = random.Random(f"mcs:{config.seed}:{i}")
+        path, visited, total = [start], {start}, dp_of[start]
+        while len(path) - 1 < config.max_depth:
+            options = [v for v in sorted(set(successors[path[-1]])) if v not in visited]
+            if not options:
+                break
+            nxt = rng.choice(options)
+            path.append(nxt)
+            visited.add(nxt)
+            total += dp_of[nxt]
+        walk_totals.append(total)
+        target = config.target_node
+        if target is not None:
+            path = path[: path.index(target) + 1] if target in path else None
+        if path is not None and len(path) > 1:
+            cand = PathResult(tuple(path), sum(dp_of[u] for u in path))
+            if best is None or cand.rank_key < best.rank_key:
+                best = cand
+        trace.append(best)
+    return best, trace, walk_totals
 
 
 class TestFixture:
@@ -82,6 +116,58 @@ class TestMcs:
             McsConfig(playouts=0)
         with pytest.raises(ParameterError):
             McsConfig(playouts=1, max_depth=0)
+
+    @settings(deadline=None)
+    @given(digraphs(), st.data(), st.integers(1, 30), st.integers(0, 2 ** 31),
+           st.integers(1, 6))
+    def test_matches_reference_playouts(self, g, data, playouts, seed, max_depth):
+        ids = [nd.node_id for nd in g.nodes]
+        start = data.draw(st.sampled_from(ids))
+        target = data.draw(st.none() | st.sampled_from(ids))
+        cfg = McsConfig(playouts, seed, max_depth, target_node=target)
+        report = mcs_search(g, start, cfg)
+        got = (report.best_path, report.trace, report.walk_totals)
+        assert got == reference_mcs(g, start, cfg)
+
+    def test_hub_fixture_matches_reference_playouts(self, hub_graph):
+        for start, target in ((10, None), (10, 2), (0, 3)):
+            cfg = McsConfig(300, 17, 4, target_node=target)
+            report = mcs_search(hub_graph, start, cfg)
+            got = (report.best_path, report.trace, report.walk_totals)
+            assert got == reference_mcs(hub_graph, start, cfg)
+
+
+class TestWorkCounters:
+    @pytest.mark.parametrize("playouts", [1, 10, 250])
+    def test_mcs_counts_playouts_and_steps(self, playouts):
+        # every walk from the root of the depth-2 tree ends at a leaf
+        g = build_fig_tree_fixture()
+        report = mcs_search(g, 0, McsConfig(playouts=playouts, seed=4, max_depth=4))
+        assert (report.playouts, report.expansions) == (playouts, 2 * playouts)
+
+    def test_mcs_steps_capped_by_max_depth(self):
+        g = build_fig_tree_fixture()
+        report = mcs_search(g, 0, McsConfig(playouts=25, seed=4, max_depth=1))
+        assert (report.playouts, report.expansions) == (25, 25)
+
+    def test_graph_search_counts_expanded_nodes(self):
+        # 0 -> 3 is two hops; node 2 cannot reach 3 and is never expanded,
+        # and node 1's row holds 3 itself
+        g = build_fig_tree_fixture()
+        report = graph_guided_search(g, 0, 3, 4)
+        assert report.best_path.node_sequence == (0, 1, 3)
+        assert (report.playouts, report.expansions) == (0, 2)
+        assert graph_guided_search(g, 3, 0, 4).expansions == 0
+
+    def test_csv_row_columns(self):
+        g = build_fig_tree_fixture()
+        mcs_report, graph_report = compare(g, 0, 3, McsConfig(playouts=10, seed=4,
+                                                              max_depth=4))
+        mcs_row = mcs_report.to_csv_row().split(",")
+        graph_row = graph_report.to_csv_row().split(",")
+        assert len(mcs_row) == len(graph_row) == 7
+        assert mcs_row[:3] == ["mcs", "4", "10"] and mcs_row[5] == "20"
+        assert graph_row[:4] == ["graph", "0", "0", "2"] and graph_row[5] == "2"
 
 
 class TestCompare:

@@ -112,6 +112,17 @@ class TestPipeline:
                    "--src", 0, "--dst", 1, "--max-hops", 2, "--limit", 5) == 0
         assert "hops=" in capsys.readouterr().out
 
+    def test_paths_negative_limit_is_runtime_error(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n")
+        edges.write_text("src_id,dst_id,label\n0,1,OUTPUT_WEIGHT\n")
+        assert run(tmp_path, "graph", "paths", "--nodes", nodes, "--edges", edges,
+                   "--src", 0, "--dst", 1, "--limit", -1) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: limit -1 < 1\n"
+        assert captured.out == ""
+
     def test_inline_predicates(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)

@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_diamond, make_hub_sample, make_two_node_graph
+from conftest import digraphs, make_diamond, make_hub_sample, make_two_node_graph
 from diffgraph.graph import (
     DiffGraph,
     DiffNode,
     EdgeRule,
+    GraphStats,
+    PathResult,
+    PathSearchWork,
     Predicate,
     RuleError,
     build_graph,
@@ -23,6 +26,89 @@ from diffgraph.graph import (
     to_nodes_csv,
 )
 from diffgraph.simon import ParameterError
+
+
+def reference_adjacency(graph):
+    """One row entry per edge, duplicates kept, as the graph's rows once were."""
+    successors = {nd.node_id: [] for nd in graph.nodes}
+    predecessors = {nd.node_id: [] for nd in graph.nodes}
+    for src, dst, _label in graph.edges:
+        successors[src].append(dst)
+        predecessors[dst].append(src)
+    return successors, predecessors
+
+
+def reference_paths(graph, src, dst, max_hops):
+    """Every simple path src -> dst within max_hops, found by exhaustive
+    DFS and sorted by rank."""
+    successors, _ = reference_adjacency(graph)
+    dp_of = {nd.node_id: nd.dp for nd in graph.nodes}
+    if src == dst:
+        return [PathResult((src,), dp_of[src])]
+    results = []
+    path = [src]
+    on_path = {src}
+
+    def dfs(u, total):
+        if len(path) - 1 >= max_hops:
+            return
+        for v in sorted(set(successors[u])):
+            if v in on_path:
+                continue
+            if v == dst:
+                results.append(PathResult(tuple(path) + (v,), total + dp_of[v]))
+                continue
+            path.append(v)
+            on_path.add(v)
+            dfs(v, total + dp_of[v])
+            path.pop()
+            on_path.remove(v)
+
+    dfs(src, dp_of[src])
+    results.sort(key=lambda p: p.rank_key)
+    return results
+
+
+def reference_stats(graph):
+    """Statistics by list-queue BFS and pairwise neighbour tests."""
+    successors, predecessors = reference_adjacency(graph)
+
+    def neighbors(u):
+        return sorted(set(successors[u]) | set(predecessors[u]))
+
+    in_deg = {nd.node_id: len(predecessors[nd.node_id]) for nd in graph.nodes}
+    out_deg = {nd.node_id: len(successors[nd.node_id]) for nd in graph.nodes}
+    max_in = max(in_deg.values(), default=0)
+    hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
+    seen = set()
+    components = []
+    for nd in graph.nodes:
+        if nd.node_id in seen:
+            continue
+        comp, queue = [], [nd.node_id]
+        seen.add(nd.node_id)
+        while queue:
+            u = queue.pop(0)
+            comp.append(u)
+            for v in neighbors(u):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        components.append(sorted(comp))
+    clustering = {}
+    for nd in graph.nodes:
+        nbrs = [v for v in neighbors(nd.node_id) if v != nd.node_id]
+        k = len(nbrs)
+        if k < 2:
+            clustering[nd.node_id] = 0.0
+            continue
+        links = sum(
+            1 for i, u in enumerate(nbrs) for v in nbrs[i + 1:]
+            if v in successors[u] or u in successors[v]
+        )
+        clustering[nd.node_id] = 2.0 * links / (k * (k - 1))
+    return GraphStats(len(graph.nodes), len(graph.edges), in_deg, out_deg,
+                      hubs, components, clustering)
 
 
 class TestEdgeRule:
@@ -85,6 +171,25 @@ class TestBuildGraph:
             build_graph(Pddt(PddtConfig(4, 0.5), [], [], [], []), default_edge_rule())
 
 
+class TestAdjacency:
+    def test_rows_sorted_without_duplicates(self):
+        nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in (3, 0, 2)]
+        edges = [(3, 0, "F"), (0, 2, "E"), (3, 0, "E"), (0, 2, "E"), (3, 2, "E"), (2, 2, "E")]
+        g = DiffGraph(nodes, edges, 4)
+        assert g.successors == {3: [0, 2], 0: [2], 2: [2]}
+        assert g.predecessors == {3: [], 0: [3], 2: [0, 2, 3]}
+        assert g.neighbors(2) == [0, 2, 3]
+        assert len(g.edges) == 6
+
+    @given(digraphs())
+    def test_rows_are_the_sorted_edge_sets(self, g):
+        successors, predecessors = reference_adjacency(g)
+        for u in successors:
+            assert g.successors[u] == sorted(set(successors[u]))
+            assert g.predecessors[u] == sorted(set(predecessors[u]))
+            assert g.neighbors(u) == sorted(set(successors[u]) | set(predecessors[u]))
+
+
 class TestStats:
     def test_empty_graph(self):
         s = graph_stats(DiffGraph([], [], 4))
@@ -107,6 +212,13 @@ class TestStats:
         nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in range(4)]
         g = DiffGraph(nodes, [(0, 1, "E"), (2, 3, "E")], 4)
         assert graph_stats(g).components == [[0, 1], [2, 3]]
+
+    @given(digraphs())
+    def test_matches_reference(self, g):
+        assert graph_stats(g) == reference_stats(g)
+
+    def test_hub_fixture_matches_reference(self, hub_graph):
+        assert graph_stats(hub_graph) == reference_stats(hub_graph)
 
 
 class TestPaths:
@@ -148,6 +260,39 @@ class TestPaths:
     def test_missing_node_rejected(self):
         with pytest.raises(ParameterError):
             find_optimal_paths(make_diamond(), 0, 99, 3, 10)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ParameterError, match="limit"):
+            find_optimal_paths(make_diamond(), 0, 3, 3, limit)
+
+    def test_expansions_counted(self):
+        # dist to 3: nodes 1 and 2 are one hop away, 0 two; the 2-hop layer
+        # expands 0, then 1 and 2, and already holds the one path asked for
+        work = PathSearchWork()
+        paths = find_optimal_paths(make_diamond(), 0, 3, 3, 1, work=work)
+        assert [p.node_sequence for p in paths] == [(0, 1, 3)]
+        assert work.expansions == 3
+        unreachable = PathSearchWork()
+        assert find_optimal_paths(make_diamond(), 3, 0, 3, 1, work=unreachable) == []
+        assert unreachable.expansions == 0
+
+    @settings(deadline=None)
+    @given(digraphs())
+    def test_matches_reference_dfs(self, g):
+        ids = [nd.node_id for nd in g.nodes]
+        for src in ids:
+            for dst in ids:
+                for max_hops in range(1, 5):
+                    every = reference_paths(g, src, dst, max_hops)
+                    for limit in range(1, 6):
+                        assert find_optimal_paths(g, src, dst, max_hops, limit) == every[:limit]
+
+    def test_hub_fixture_matches_reference_dfs(self, hub_graph):
+        for src, dst in ((10, 2), (0, 1), (2, 10), (0, 0)):
+            every = reference_paths(hub_graph, src, dst, 3)
+            for limit in (1, 7, 100, 10_000):
+                assert find_optimal_paths(hub_graph, src, dst, 3, limit) == every[:limit]
 
 
 class TestSubgraph:
