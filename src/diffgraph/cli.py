@@ -7,6 +7,7 @@ usage error, 1 a runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,34 +20,16 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _load_config_file(path: str) -> dict:
-    """Optional key=value config file; CLI flags take precedence."""
-    values = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _parse_rule(args) -> graphmod.EdgeRule:
     if args.source_predicate or args.target_predicate:
         if not (args.source_predicate and args.target_predicate):
             raise ParameterError("both --source-predicate and --target-predicate are required")
-        return graphmod.EdgeRule(
-            _parse_predicate(args.source_predicate),
-            _parse_predicate(args.target_predicate),
-            allow_self_loops=not args.no_self_loops,
-            relation_label=args.relation_label,
-        )
-    preset = graphmod.EDGE_RULE_PRESETS[args.rule]()
-    if args.no_self_loops or args.relation_label != "OUTPUT_WEIGHT":
-        preset = graphmod.EdgeRule(preset.source_predicate, preset.target_predicate,
-                                   allow_self_loops=not args.no_self_loops,
-                                   relation_label=args.relation_label)
-    return preset
+        rule = graphmod.EdgeRule(_parse_predicate(args.source_predicate),
+                                 _parse_predicate(args.target_predicate))
+    else:
+        rule = graphmod.EDGE_RULE_PRESETS[args.rule]()
+    return dataclasses.replace(rule, allow_self_loops=not args.no_self_loops,
+                               relation_label=args.relation_label)
 
 
 def _parse_predicate(text: str) -> graphmod.Predicate:
@@ -62,20 +45,13 @@ def _read_graph(nodes_path: str, edges_path: str) -> graphmod.DiffGraph:
     return graphmod.from_csv(Path(nodes_path).read_bytes(), Path(edges_path).read_bytes())
 
 
-def _write(path: str, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc}") from exc
-
-
 # --- subcommand bodies -------------------------------------------------
 
 
 def _cmd_pddt_build(args) -> int:
     cfg = PddtConfig(args.n, args.threshold, args.max_elements)
     table = pddtmod.build_pddt(cfg, workers=args.workers)
-    _write(args.out, table.to_csv())
+    Path(args.out).write_bytes(table.to_csv())
     print(f"wrote {len(table)} entries to {args.out}")
     return EXIT_OK
 
@@ -84,7 +60,7 @@ def _cmd_pddt_sample(args) -> int:
     table = Pddt.from_csv(Path(args.input).read_bytes())
     sample = pddtmod.sample_pddt(table, SampleSpec(args.fraction, not args.no_quota, args.seed))
     header = f"# seed={args.seed} fraction={args.fraction}\n".encode("utf-8")
-    _write(args.out, header + sample.to_csv())
+    Path(args.out).write_bytes(header + sample.to_csv())
     print(f"sampled {len(sample)} of {len(table)} entries to {args.out}")
     return EXIT_OK
 
@@ -103,8 +79,8 @@ def _cmd_pddt_stats(args) -> int:
 def _cmd_graph_build(args) -> int:
     table = Pddt.from_csv(Path(args.input).read_bytes())
     g = graphmod.build_graph(table, _parse_rule(args))
-    _write(args.nodes_out, graphmod.to_nodes_csv(g))
-    _write(args.edges_out, graphmod.to_edges_csv(g))
+    Path(args.nodes_out).write_bytes(graphmod.to_nodes_csv(g))
+    Path(args.edges_out).write_bytes(graphmod.to_edges_csv(g))
     print(f"graph: {len(g.nodes)} nodes, {len(g.edges)} edges")
     return EXIT_OK
 
@@ -136,10 +112,10 @@ def _cmd_graph_export(args) -> int:
     if args.format == "csv":
         base = Path(args.out)
         for suffix, data in parts.items():
-            _write(str(base.with_name(base.stem + "." + suffix)), data)
+            base.with_name(base.stem + "." + suffix).write_bytes(data)
     else:
         (data,) = parts.values()
-        _write(args.out, data)
+        Path(args.out).write_bytes(data)
     print(f"exported {args.format} to {args.out}")
     return EXIT_OK
 
@@ -172,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diffgraph",
         description="PDDT and differential knowledge-graph toolkit for SIMON",
     )
-    parser.add_argument("--config", help="key=value config file; flags win")
     top = parser.add_subparsers(dest="command", required=True)
 
     pddt_p = top.add_parser("pddt", help="build, sample and inspect PDDTs")
@@ -263,15 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        defaults = _load_config_file(args.config)
-        for key, value in defaults.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
     try:
         return args.func(args)
     except (ParameterError, graphmod.RuleError, pddtmod.PddtOverflowError,
-            bench.DominanceError, FileNotFoundError, ValueError) as exc:
+            bench.DominanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

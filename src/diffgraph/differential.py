@@ -111,7 +111,3 @@ class Differential:
     @property
     def dp_str(self) -> str:
         return dyadic_str(self.hw)
-
-    @classmethod
-    def from_triple(cls, a: int, b: int, c: int, n: int) -> "Differential":
-        return cls(a, b, c, differential_weight(a, b, c, n), n)

@@ -12,13 +12,16 @@ import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain, starmap
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .differential import dyadic_str
 from .pddt import Pddt, decode_differential_csv, encode_differential_csv
 from .simon import ParameterError
 
-NODE_FIELDS = ("input_a", "input_b", "output", "weight", "hw")
+# rule field name -> DiffNode attribute
+_NODE_ATTRS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "dp", "hw": "hw"}
+NODE_FIELDS = tuple(_NODE_ATTRS)
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
 
@@ -27,8 +30,7 @@ class RuleError(ValueError):
     """Edge-rule predicate references an unknown field or operator."""
 
 
-@dataclass(frozen=True)
-class DiffNode:
+class DiffNode(NamedTuple):
     node_id: int
     a: int
     b: int
@@ -36,12 +38,13 @@ class DiffNode:
     dp: float
     hw: int
 
-    def get(self, name: str):
-        try:
-            return {"input_a": self.a, "input_b": self.b, "output": self.c,
-                    "weight": self.dp, "hw": self.hw}[name]
-        except KeyError:
-            raise RuleError(f"unknown node field {name!r}; expected one of {NODE_FIELDS}")
+
+def _make_nodes(ids, a, b, c, hw) -> List[DiffNode]:
+    """One node per id and row of the numpy columns a, b, c, hw; dp = 2^-hw."""
+    hw = hw.tolist()
+    dp = [2.0 ** -w for w in range(max(hw, default=0) + 1)]
+    return list(starmap(DiffNode, zip(ids, a.tolist(), b.tolist(), c.tolist(),
+                                      map(dp.__getitem__, hw), hw)))
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,13 @@ class Predicate:
             raise RuleError(f"unknown operator {self.op!r}; expected one of {sorted(_OPS)}")
 
     def matches(self, node: DiffNode) -> bool:
-        return _OPS[self.op](node.get(self.field), self.value)
+        return _OPS[self.op](getattr(node, _NODE_ATTRS[self.field]), self.value)
 
 
 @dataclass(frozen=True)
 class EdgeRule:
     source_predicate: Predicate
     target_predicate: Predicate
-    directed: bool = True
     allow_self_loops: bool = True
     relation_label: str = "OUTPUT_WEIGHT"
 
@@ -130,9 +132,7 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
     """Nodes from every sample entry, edges from the rule's cross product."""
     if len(sample) == 0:
         raise ParameterError("cannot build a graph from an empty sample")
-    nodes = [
-        DiffNode(i, d.a, d.b, d.c, d.dp, d.hw) for i, d in enumerate(sample)
-    ]
+    nodes = _make_nodes(range(len(sample)), sample.a, sample.b, sample.c, sample.hw)
     sources = [nd.node_id for nd in nodes if rule.source_predicate.matches(nd)]
     targets = [nd.node_id for nd in nodes if rule.target_predicate.matches(nd)]
     edges = [
@@ -319,103 +319,102 @@ def extract_subgraph(graph: DiffGraph, limit: int) -> DiffGraph:
 # --- exports -----------------------------------------------------------
 
 
-def _hex(x: int, n: int) -> str:
-    return f"0x{x:0{-(-n // 4)}x}"
+def _nodes_csv(graph: DiffGraph) -> bytes:
+    # not zip(*nodes), whose one GC-tracked iterator per node sets off collections
+    ids, a, b, c, hw = (list(map(attrgetter(f), graph.nodes))
+                        for f in ("node_id", "a", "b", "c", "hw"))
+    return encode_differential_csv("id,input_a,input_b,output,weight,hw", ids, a, b, c, hw,
+                                   graph.word_size)
 
 
 def to_nodes_csv(graph: DiffGraph) -> bytes:
-    nodes = graph.nodes
-    return encode_differential_csv(
-        "id,input_a,input_b,output,weight,hw", [nd.node_id for nd in nodes],
-        [nd.a for nd in nodes], [nd.b for nd in nodes], [nd.c for nd in nodes],
-        [nd.hw for nd in nodes], graph.word_size)
+    return _nodes_csv(graph)
 
 
 def to_edges_csv(graph: DiffGraph) -> bytes:
-    lines = ["src_id,dst_id,label"]
-    for src, dst, label in graph.edges:
-        lines.append(f"{src},{dst},{label}")
+    lines = chain(["src_id,dst_id,label"], starmap("{0},{1},{2}".format, graph.edges))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
-    """Rebuild a graph from its nodes+edges CSV export."""
+    """Rebuild a graph from its nodes+edges CSV export; a malformed line
+    raises ValueError naming its 1-based line number."""
     cols = decode_differential_csv(nodes_csv)
-    nodes = [
-        DiffNode(i, a, b, c, 2.0 ** -hw, hw)
-        for i, a, b, c, hw in zip(cols.ids.tolist(), cols.a.tolist(), cols.b.tolist(),
-                                  cols.c.tolist(), cols.hw.tolist())
-    ]
+    nodes = _make_nodes(cols.ids.tolist(), cols.a, cols.b, cols.c, cols.hw)
     edges = []
-    for line in edges_csv.decode("utf-8").splitlines():
+    for number, line in enumerate(edges_csv.decode("utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("src_id,"):
             continue
-        src, dst, label = line.split(",")
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"line {number}: expected 3 comma-separated fields, got {len(fields)}")
+        src, dst, label = fields
+        for k, text in ((1, src), (2, dst)):
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(f"line {number}: field {k} must be a decimal id, got {text!r}")
         edges.append((int(src), int(dst), label))
     return DiffGraph(nodes, edges, cols.word_size)
 
 
+# A text export is (head lines, node line, edge line, tail lines). A node line
+# is filled with the six fields of the node's nodes-CSV row, so the codec alone
+# decides hex width and dyadic strings; an edge line with (src, dst, label).
+_GRAPHML = (
+    ('<?xml version="1.0" encoding="UTF-8"?>',
+     '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+     '  <key id="input_a" for="node" attr.name="input_a" attr.type="string"/>',
+     '  <key id="input_b" for="node" attr.name="input_b" attr.type="string"/>',
+     '  <key id="output" for="node" attr.name="output" attr.type="string"/>',
+     '  <key id="weight" for="node" attr.name="weight" attr.type="double"/>',
+     '  <key id="hw" for="node" attr.name="hw" attr.type="int"/>',
+     '  <key id="label" for="edge" attr.name="label" attr.type="string"/>',
+     '  <graph id="G" edgedefault="directed">'),
+    '    <node id="n{0}">\n'
+    '      <data key="input_a">{1}</data>\n'
+    '      <data key="input_b">{2}</data>\n'
+    '      <data key="output">{3}</data>\n'
+    '      <data key="weight">{4}</data>\n'
+    '      <data key="hw">{5}</data>\n'
+    '    </node>',
+    '    <edge source="n{0}" target="n{1}">\n'
+    '      <data key="label">{2}</data>\n'
+    '    </edge>',
+    ('  </graph>', '</graphml>'),
+)
+
+_DOT = (("digraph differentials {",),
+        '  n{0} [label="{0}" input_a="{1}" input_b="{2}" output="{3}" weight="{4}" hw="{5}"];',
+        '  n{0} -> n{1} [label="{2}"];',
+        ("}",))
+
+_CYPHER = ((),
+           "CREATE (:DIFFERENTIALS {{id: {0}, input_a: '{1}', input_b: '{2}', "
+           "output: '{3}', weight: {4}, hw: {5}}});",
+           "MATCH (a:DIFFERENTIALS {{id: {0}}}), (b:DIFFERENTIALS {{id: {1}}}) "
+           "CREATE (a)-[:{2}]->(b);",
+           ())
+
+
+def _render(graph: DiffGraph, template) -> bytes:
+    head, node_line, edge_line, tail = template
+    rows = _nodes_csv(graph).decode("ascii").split("\n")[1:-1]
+    nodes = starmap(node_line.format, (row.split(",") for row in rows))
+    edges = starmap(edge_line.format, graph.edges)
+    return ("\n".join(chain(head, nodes, edges, tail)) + "\n").encode("utf-8")
+
+
 def to_graphml(graph: DiffGraph) -> bytes:
-    n = graph.word_size
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="input_a" for="node" attr.name="input_a" attr.type="string"/>',
-        '  <key id="input_b" for="node" attr.name="input_b" attr.type="string"/>',
-        '  <key id="output" for="node" attr.name="output" attr.type="string"/>',
-        '  <key id="weight" for="node" attr.name="weight" attr.type="double"/>',
-        '  <key id="hw" for="node" attr.name="hw" attr.type="int"/>',
-        '  <key id="label" for="edge" attr.name="label" attr.type="string"/>',
-        '  <graph id="G" edgedefault="directed">',
-    ]
-    for nd in graph.nodes:
-        out.append(f'    <node id="n{nd.node_id}">')
-        out.append(f'      <data key="input_a">{_hex(nd.a, n)}</data>')
-        out.append(f'      <data key="input_b">{_hex(nd.b, n)}</data>')
-        out.append(f'      <data key="output">{_hex(nd.c, n)}</data>')
-        out.append(f'      <data key="weight">{dyadic_str(nd.hw)}</data>')
-        out.append(f'      <data key="hw">{nd.hw}</data>')
-        out.append('    </node>')
-    for src, dst, label in graph.edges:
-        out.append(f'    <edge source="n{src}" target="n{dst}">')
-        out.append(f'      <data key="label">{label}</data>')
-        out.append('    </edge>')
-    out.extend(['  </graph>', '</graphml>'])
-    return ("\n".join(out) + "\n").encode("utf-8")
+    return _render(graph, _GRAPHML)
 
 
 def to_dot(graph: DiffGraph) -> bytes:
-    n = graph.word_size
-    out = ["digraph differentials {"]
-    for nd in graph.nodes:
-        out.append(
-            f'  n{nd.node_id} [label="{nd.node_id}" input_a="{_hex(nd.a, n)}" '
-            f'input_b="{_hex(nd.b, n)}" output="{_hex(nd.c, n)}" '
-            f'weight="{dyadic_str(nd.hw)}" hw="{nd.hw}"];'
-        )
-    for src, dst, label in graph.edges:
-        out.append(f'  n{src} -> n{dst} [label="{label}"];')
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    return _render(graph, _DOT)
 
 
 def to_cypher(graph: DiffGraph) -> bytes:
     """CREATE statements loadable into an external graph database."""
-    n = graph.word_size
-    out = []
-    for nd in graph.nodes:
-        out.append(
-            f"CREATE (:DIFFERENTIALS {{id: {nd.node_id}, input_a: '{_hex(nd.a, n)}', "
-            f"input_b: '{_hex(nd.b, n)}', output: '{_hex(nd.c, n)}', "
-            f"weight: {dyadic_str(nd.hw)}, hw: {nd.hw}}});"
-        )
-    for src, dst, label in graph.edges:
-        out.append(
-            f"MATCH (a:DIFFERENTIALS {{id: {src}}}), (b:DIFFERENTIALS {{id: {dst}}}) "
-            f"CREATE (a)-[:{label}]->(b);"
-        )
-    return ("\n".join(out) + "\n").encode("utf-8")
+    return _render(graph, _CYPHER)
 
 
 EXPORT_FORMATS = ("csv", "graphml", "dot", "cypher")

@@ -106,10 +106,6 @@ class Pddt:
                                self.hw.tolist()):
             yield Differential(a, b, c, hw, n)
 
-    def __getitem__(self, i: int) -> Differential:
-        n = self.config.word_size
-        return Differential(int(self.a[i]), int(self.b[i]), int(self.c[i]), int(self.hw[i]), n)
-
     def triples(self) -> set:
         return set(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
 

@@ -34,6 +34,20 @@ class TestUsage:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_flag_is_usage_error(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("threshold=0.5\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), "pddt", "build", "--n", "4",
+                  "--threshold", "0.5", "--out", str(tmp_path / "t.csv")])
+        assert err.value.code == 2
+
+    def test_directory_input_is_runtime_error(self, tmp_path, capsys):
+        assert main(["pddt", "stats", "--input", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert "Traceback" not in err
+
 
 class TestPddtCommands:
     def test_build_matches_oracle(self, tmp_path, capsys):
@@ -123,6 +137,16 @@ class TestPipeline:
         assert captured.err == "error: limit -1 < 1\n"
         assert captured.out == ""
 
+    def test_malformed_edges_is_runtime_error(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n")
+        edges.write_text("src_id,dst_id,label\n1,2\n")
+        assert run(tmp_path, "graph", "stats", "--nodes", nodes, "--edges", edges) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: expected 3 comma-separated fields, got 2\n"
+        assert captured.out == ""
+
     def test_inline_predicates(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
@@ -132,6 +156,15 @@ class TestPipeline:
                    "--no-self-loops",
                    "--nodes-out", tmp_path / "n.csv", "--edges-out", tmp_path / "e.csv") == 0
         assert "graph:" in capsys.readouterr().out
+
+    def test_preset_takes_self_loop_and_label_flags(self, tmp_path):
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        assert run(tmp_path, "graph", "build", "--input", table, "--rule", "default",
+                   "--no-self-loops", "--relation-label", "HUB",
+                   "--nodes-out", nodes, "--edges-out", edges) == 0
+        rows = [line.split(",") for line in edges.read_text().splitlines()[1:]]
+        assert rows and all(label == "HUB" and src != dst for src, dst, label in rows)
 
     def test_golden_cypher_two_node_fixture(self, tmp_path, capsys):
         nodes = tmp_path / "n.csv"

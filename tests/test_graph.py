@@ -1,8 +1,13 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import digraphs, make_diamond, make_hub_sample, make_two_node_graph
+from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
+    EXPORT_FORMATS,
+    NODE_FIELDS,
     DiffGraph,
     DiffNode,
     EdgeRule,
@@ -25,7 +30,10 @@ from diffgraph.graph import (
     to_graphml,
     to_nodes_csv,
 )
+from diffgraph.pddt import Pddt, PddtConfig
 from diffgraph.simon import ParameterError
+
+NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
 
 
 def reference_adjacency(graph):
@@ -111,6 +119,109 @@ def reference_stats(graph):
                       hubs, components, clustering)
 
 
+def reference_field(node, name):
+    """A node's rule field, looked up as DiffNode.get once did."""
+    return {"input_a": node.a, "input_b": node.b, "output": node.c,
+            "weight": node.dp, "hw": node.hw}[name]
+
+
+def _hex(x, n):
+    return f"0x{x:0{-(-n // 4)}x}"
+
+
+def reference_edges_csv(graph):
+    lines = ["src_id,dst_id,label"]
+    for src, dst, label in graph.edges:
+        lines.append(f"{src},{dst},{label}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_graphml(graph):
+    n = graph.word_size
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="input_a" for="node" attr.name="input_a" attr.type="string"/>',
+        '  <key id="input_b" for="node" attr.name="input_b" attr.type="string"/>',
+        '  <key id="output" for="node" attr.name="output" attr.type="string"/>',
+        '  <key id="weight" for="node" attr.name="weight" attr.type="double"/>',
+        '  <key id="hw" for="node" attr.name="hw" attr.type="int"/>',
+        '  <key id="label" for="edge" attr.name="label" attr.type="string"/>',
+        '  <graph id="G" edgedefault="directed">',
+    ]
+    for nd in graph.nodes:
+        out.append(f'    <node id="n{nd.node_id}">')
+        out.append(f'      <data key="input_a">{_hex(nd.a, n)}</data>')
+        out.append(f'      <data key="input_b">{_hex(nd.b, n)}</data>')
+        out.append(f'      <data key="output">{_hex(nd.c, n)}</data>')
+        out.append(f'      <data key="weight">{dyadic_str(nd.hw)}</data>')
+        out.append(f'      <data key="hw">{nd.hw}</data>')
+        out.append('    </node>')
+    for src, dst, label in graph.edges:
+        out.append(f'    <edge source="n{src}" target="n{dst}">')
+        out.append(f'      <data key="label">{label}</data>')
+        out.append('    </edge>')
+    out.extend(['  </graph>', '</graphml>'])
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def reference_dot(graph):
+    n = graph.word_size
+    out = ["digraph differentials {"]
+    for nd in graph.nodes:
+        out.append(
+            f'  n{nd.node_id} [label="{nd.node_id}" input_a="{_hex(nd.a, n)}" '
+            f'input_b="{_hex(nd.b, n)}" output="{_hex(nd.c, n)}" '
+            f'weight="{dyadic_str(nd.hw)}" hw="{nd.hw}"];'
+        )
+    for src, dst, label in graph.edges:
+        out.append(f'  n{src} -> n{dst} [label="{label}"];')
+    out.append("}")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def reference_cypher(graph):
+    n = graph.word_size
+    out = []
+    for nd in graph.nodes:
+        out.append(
+            f"CREATE (:DIFFERENTIALS {{id: {nd.node_id}, input_a: '{_hex(nd.a, n)}', "
+            f"input_b: '{_hex(nd.b, n)}', output: '{_hex(nd.c, n)}', "
+            f"weight: {dyadic_str(nd.hw)}, hw: {nd.hw}}});"
+        )
+    for src, dst, label in graph.edges:
+        out.append(
+            f"MATCH (a:DIFFERENTIALS {{id: {src}}}), (b:DIFFERENTIALS {{id: {dst}}}) "
+            f"CREATE (a)-[:{label}]->(b);"
+        )
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+REFERENCE_EXPORTS = {to_graphml: reference_graphml, to_dot: reference_dot,
+                     to_cypher: reference_cypher, to_edges_csv: reference_edges_csv}
+
+
+@st.composite
+def tables(draw):
+    """Tables of 1..12 rows at a word size of 1..32 bits, with values that
+    fit; outputs of 0 and low weights are common, so rules find edges."""
+    n = draw(st.integers(1, 32))
+    word = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(st.tuples(word, word, st.one_of(st.just(0), word),
+                                   st.one_of(st.integers(0, 2), st.integers(0, 255))),
+                         min_size=1, max_size=12))
+    a, b, c, hw = zip(*rows)
+    return Pddt(PddtConfig(n, 0.5), a, b, c, hw)
+
+
+RULES = [
+    default_edge_rule(),
+    printed_edge_rule(),
+    EdgeRule(Predicate("hw", "<=", 40), Predicate("input_a", ">=", 1),
+             allow_self_loops=False, relation_label="LINKS"),
+]
+
+
 class TestEdgeRule:
     def test_unknown_field_rejected(self):
         with pytest.raises(RuleError):
@@ -126,6 +237,19 @@ class TestEdgeRule:
         assert d.target_predicate == Predicate("weight", ">=", 0.5)
         p = printed_edge_rule()
         assert p.target_predicate == Predicate("weight", "<=", 0.5)
+
+    @given(st.sampled_from(NODE_FIELDS), st.sampled_from(["<=", ">=", "=", "=="]),
+           st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+                     st.integers(0, 2**64 - 1), st.integers(0, 255)),
+           st.one_of(st.integers(0, 2**64), st.floats(allow_nan=False)))
+    def test_matches_equals_field_lookup(self, field, op, values, bound):
+        # exact Python comparisons, also for values above 2**53
+        a, b, c, hw = values
+        node = DiffNode(7, a, b, c, 2.0 ** -hw, hw)
+        ops = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
+        for value in (bound, a, a + 1, c - 1, 2.0 ** -hw):
+            expected = ops[op](reference_field(node, field), value)
+            assert Predicate(field, op, value).matches(node) is expected
 
 
 class TestBuildGraph:
@@ -370,6 +494,64 @@ class TestExports:
         back = from_csv(to_nodes_csv(hub_graph), to_edges_csv(hub_graph))
         assert back == hub_graph
 
+    @settings(deadline=None)
+    @given(tables(), st.sampled_from(RULES))
+    def test_matches_reference_exports(self, table, rule):
+        g = build_graph(table, rule)
+        hw = table.hw.tolist()
+        assert g.nodes == [DiffNode(i, a, b, c, 2.0 ** -w, w) for i, a, b, c, w in
+                           zip(range(len(hw)), table.a.tolist(), table.b.tolist(),
+                               table.c.tolist(), hw)]
+        for export, reference in REFERENCE_EXPORTS.items():
+            assert export(g) == reference(g)
+        back = from_csv(to_nodes_csv(g), to_edges_csv(g))  # word size is not kept
+        assert (back.nodes, back.edges) == (g.nodes, g.edges)
+
+    def test_empty_graph_matches_reference(self):
+        g = from_csv(NODES_HEADER.encode(), b"src_id,dst_id,label\n")
+        assert g.nodes == [] and g.edges == []
+        for export, reference in REFERENCE_EXPORTS.items():
+            assert export(g) == reference(g)
+        assert to_cypher(g) == b"\n"
+        assert to_nodes_csv(g) == NODES_HEADER.encode()
+
+    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    def test_value_wider_than_word_size_rejected(self, fmt, field):
+        values = [0, 0, 0]
+        values[field - 1] = 0x10
+        g = DiffGraph([DiffNode(0, *values, 1.0, 0)], [], 4)
+        with pytest.raises(ParameterError, match="does not fit in 4 bits"):
+            export_graph(g, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ParameterError):
             export_graph(make_two_node_graph(), "gexf")
+
+
+class TestEdgesReader:
+    NODES = (NODES_HEADER + "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n").encode()
+
+    @pytest.mark.parametrize("edges, message", [
+        pytest.param("src_id,dst_id,label\n1,2\n",
+                     "line 2: expected 3 comma-separated fields, got 2", id="two-fields"),
+        pytest.param("0,1,E,F\n", "line 1: expected 3 comma-separated fields, got 4",
+                     id="four-fields"),
+        pytest.param("# note\n\n0,1,E\r\nx,1,E\n",
+                     "line 4: field 1 must be a decimal id, got 'x'", id="letter"),
+        pytest.param("0,-1,E\n", "line 1: field 2 must be a decimal id, got '-1'", id="negative"),
+        pytest.param("0, 1,E\n", "line 1: field 2 must be a decimal id, got ' 1'", id="space"),
+        pytest.param("0,1.0,E\n", "line 1: field 2 must be a decimal id, got '1.0'", id="float"),
+        pytest.param("\u00b2,1,E\n", "line 1: field 1 must be a decimal id, got '\u00b2'",
+                     id="superscript"),
+        pytest.param("src_id,dst_id,label\n0,1,E\n,1,E",
+                     "line 3: field 1 must be a decimal id, got ''", id="empty"),
+    ])
+    def test_bad_line_names_its_number(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            from_csv(self.NODES, edges.encode("utf-8"))
+        assert str(err.value) == message
+
+    def test_good_lines_read(self):
+        g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")
+        assert g.edges == [(0, 1, "E"), (1, 1, "F")]
