@@ -1,8 +1,8 @@
 """Differential knowledge-graph toolkit for the SIMON cipher family."""
 
+from .errors import ParameterError
 from .simon import (
     CipherParams,
-    ParameterError,
     WordState,
     all_variants,
     decrypt,
@@ -13,7 +13,6 @@ from .simon import (
     round_fn,
 )
 from .differential import (
-    Differential,
     InvalidDifferentialError,
     brute_force_dp,
     differential_probability,

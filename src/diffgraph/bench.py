@@ -13,8 +13,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
+from .errors import ParameterError
 from .graph import DiffGraph, DiffNode, PathResult, PathSearchWork, find_optimal_paths
-from .simon import ParameterError
 
 
 class DominanceError(RuntimeError):

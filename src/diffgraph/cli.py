@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from . import bench, graph as graphmod, pddt as pddtmod
+from .errors import ParameterError
 from .pddt import Pddt, PddtConfig, SampleSpec
-from .simon import ParameterError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -50,7 +50,7 @@ def _read_graph(nodes_path: str, edges_path: str) -> graphmod.DiffGraph:
 
 def _cmd_pddt_build(args) -> int:
     cfg = PddtConfig(args.n, args.threshold, args.max_elements)
-    table = pddtmod.build_pddt(cfg, workers=args.workers)
+    table = pddtmod.build_pddt(cfg)
     Path(args.out).write_bytes(table.to_csv())
     print(f"wrote {len(table)} entries to {args.out}")
     return EXIT_OK
@@ -150,6 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
+    graph_in = argparse.ArgumentParser(add_help=False)
+    graph_in.add_argument("--nodes", required=True)
+    graph_in.add_argument("--edges", required=True)
+
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--src", type=int, required=True)
+    search.add_argument("--playouts", type=int, default=1000)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--max-depth", type=int, default=16)
+
     pddt_p = top.add_parser("pddt", help="build, sample and inspect PDDTs")
     pddt_sub = pddt_p.add_subparsers(dest="subcommand", required=True)
 
@@ -157,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="word size in bits")
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--max-elements", type=int, default=pddtmod.DEFAULT_MAX_ELEMENTS)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pddt_build)
 
@@ -187,24 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges-out", required=True)
     p.set_defaults(func=_cmd_graph_build)
 
-    for name, fn in (("stats", _cmd_graph_stats),):
-        p = graph_sub.add_parser(name)
-        p.add_argument("--nodes", required=True)
-        p.add_argument("--edges", required=True)
-        p.set_defaults(func=fn)
+    p = graph_sub.add_parser("stats", parents=[graph_in])
+    p.set_defaults(func=_cmd_graph_stats)
 
-    p = graph_sub.add_parser("paths")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
+    p = graph_sub.add_parser("paths", parents=[graph_in])
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--dst", type=int, required=True)
     p.add_argument("--max-hops", type=int, default=4)
     p.add_argument("--limit", type=int, default=10)
     p.set_defaults(func=_cmd_graph_paths)
 
-    p = graph_sub.add_parser("export")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
+    p = graph_sub.add_parser("export", parents=[graph_in])
     p.add_argument("--format", choices=graphmod.EXPORT_FORMATS, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_graph_export)
@@ -212,24 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = top.add_parser("bench", help="Monte Carlo baseline and comparison")
     bench_sub = bench_p.add_subparsers(dest="subcommand", required=True)
 
-    p = bench_sub.add_parser("mcs")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--src", type=int, required=True)
+    p = bench_sub.add_parser("mcs", parents=[graph_in, search])
     p.add_argument("--dst", type=int, default=None)
-    p.add_argument("--playouts", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=16)
     p.set_defaults(func=_cmd_bench_mcs)
 
-    p = bench_sub.add_parser("compare")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--src", type=int, required=True)
+    p = bench_sub.add_parser("compare", parents=[graph_in, search])
     p.add_argument("--dst", type=int, required=True)
-    p.add_argument("--playouts", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-depth", type=int, default=16)
     p.set_defaults(func=_cmd_bench_compare)
 
     return parser
@@ -240,8 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, graphmod.RuleError, pddtmod.PddtOverflowError,
-            bench.DominanceError, OSError, ValueError) as exc:
+    except (pddtmod.PddtOverflowError, bench.DominanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -9,11 +9,10 @@ triple: only the plain shift reproduces the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .simon import ParameterError, rotl
+from .errors import ParameterError
+from .simon import rotl
 
 SHIFT_LOGICAL = "logical"
 SHIFT_CIRCULAR = "circular"
@@ -92,22 +91,3 @@ def brute_force_dp(a: int, b: int, c: int, n: int) -> float:
     y = np.arange(1 << n, dtype=np.uint32)[None, :]
     out = (((x ^ a) + (y ^ b)) ^ (x + y)) & mask
     return int(np.count_nonzero(out == c)) / float(1 << (2 * n))
-
-
-@dataclass(frozen=True)
-class Differential:
-    """A valid XOR differential (a, b -> c) with its exact dyadic probability."""
-
-    a: int
-    b: int
-    c: int
-    hw: int
-    word_size: int
-
-    @property
-    def dp(self) -> float:
-        return 2.0**-self.hw
-
-    @property
-    def dp_str(self) -> str:
-        return dyadic_str(self.hw)

@@ -14,10 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .pddt import Pddt, decode_differential_csv, encode_differential_csv
-from .simon import ParameterError
+from .errors import ParameterError
+from .pddt import DiffNode, Pddt, decode_differential_csv, encode_differential_csv, make_nodes
 
 # rule field name -> DiffNode attribute
 _NODE_ATTRS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "dp", "hw": "hw"}
@@ -28,23 +28,6 @@ _OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.e
 
 class RuleError(ValueError):
     """Edge-rule predicate references an unknown field or operator."""
-
-
-class DiffNode(NamedTuple):
-    node_id: int
-    a: int
-    b: int
-    c: int
-    dp: float
-    hw: int
-
-
-def _make_nodes(ids, a, b, c, hw) -> List[DiffNode]:
-    """One node per id and row of the numpy columns a, b, c, hw; dp = 2^-hw."""
-    hw = hw.tolist()
-    dp = [2.0 ** -w for w in range(max(hw, default=0) + 1)]
-    return list(starmap(DiffNode, zip(ids, a.tolist(), b.tolist(), c.tolist(),
-                                      map(dp.__getitem__, hw), hw)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +115,7 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
     """Nodes from every sample entry, edges from the rule's cross product."""
     if len(sample) == 0:
         raise ParameterError("cannot build a graph from an empty sample")
-    nodes = _make_nodes(range(len(sample)), sample.a, sample.b, sample.c, sample.hw)
+    nodes = list(sample)
     sources = [nd.node_id for nd in nodes if rule.source_predicate.matches(nd)]
     targets = [nd.node_id for nd in nodes if rule.target_predicate.matches(nd)]
     edges = [
@@ -340,7 +323,7 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     """Rebuild a graph from its nodes+edges CSV export; a malformed line
     raises ValueError naming its 1-based line number."""
     cols = decode_differential_csv(nodes_csv)
-    nodes = _make_nodes(cols.ids.tolist(), cols.a, cols.b, cols.c, cols.hw)
+    nodes = make_nodes(cols.ids.tolist(), cols.a, cols.b, cols.c, cols.hw)
     edges = []
     for number, line in enumerate(edges_csv.decode("utf-8").splitlines(), 1):
         line = line.strip()

@@ -20,17 +20,13 @@ import os
 import random
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
+from itertools import starmap
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .differential import (
-    Differential,
-    differential_weight,
-    dyadic_str,
-    is_valid_differential,
-)
-from .simon import ParameterError
+from .differential import differential_weight, dyadic_str, is_valid_differential
+from .errors import ParameterError
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +79,25 @@ class SampleSpec:
             raise ParameterError(f"sample fraction {self.fraction} outside (0, 1]")
 
 
+class DiffNode(NamedTuple):
+    """One table row (a, b -> c) with probability dp = 2^-hw, numbered node_id."""
+
+    node_id: int
+    a: int
+    b: int
+    c: int
+    dp: float
+    hw: int
+
+
+def make_nodes(ids, a, b, c, hw) -> List[DiffNode]:
+    """One node per id and row of the numpy columns a, b, c, hw; dp = 2^-hw."""
+    hw = hw.tolist()
+    dp = [2.0 ** -w for w in range(max(hw, default=0) + 1)]
+    return list(starmap(DiffNode, zip(ids, a.tolist(), b.tolist(), c.tolist(),
+                                      map(dp.__getitem__, hw), hw)))
+
+
 class Pddt:
     """Ordered, deduplicated table of differentials above a threshold.
 
@@ -100,11 +115,9 @@ class Pddt:
     def __len__(self) -> int:
         return len(self.a)
 
-    def __iter__(self) -> Iterator[Differential]:
-        n = self.config.word_size
-        for a, b, c, hw in zip(self.a.tolist(), self.b.tolist(), self.c.tolist(),
-                               self.hw.tolist()):
-            yield Differential(a, b, c, hw, n)
+    def __iter__(self) -> Iterator[DiffNode]:
+        """The rows in table order, numbered by position."""
+        return iter(make_nodes(range(len(self)), self.a, self.b, self.c, self.hw))
 
     def triples(self) -> set:
         return set(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
@@ -132,24 +145,6 @@ class Pddt:
         if p_threshold is None:
             p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
         return cls(PddtConfig(cols.word_size, p_threshold), a, b, c, hw)
-
-    @classmethod
-    def from_text_files(cls, texts: List[bytes], word_size: int,
-                        p_threshold: Optional[float] = None) -> "Pddt":
-        """Import shim for whitespace-delimited "a b c probability" files."""
-        rows = []
-        for text in texts:
-            for line in text.decode("utf-8").splitlines():
-                parts = line.split()
-                if not parts or parts[0].startswith("#"):
-                    continue
-                a, b, c = (int(p, 0) for p in parts[:3])
-                rows.append((a, b, c, differential_weight(a, b, c, word_size)))
-        rows = sorted(set(rows), key=lambda r: (r[0], r[1], r[2]))
-        if p_threshold is None:
-            p_threshold = 2.0 ** -max((r[3] for r in rows), default=0)
-        cols = list(zip(*rows)) if rows else ([], [], [], [])
-        return cls(PddtConfig(word_size, p_threshold), cols[0], cols[1], cols[2], cols[3])
 
 
 # --- differential CSV codec -------------------------------------------
@@ -219,7 +214,7 @@ def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> by
     if int(ids.min()) < 0:
         raise ParameterError("row ids must be non-negative")
     for x in cols:
-        if int(x.max()) >> (4 * digits):
+        if int(x.max()) >> word_size:
             raise ParameterError(f"value {int(x.max()):#x} does not fit in {word_size} bits")
 
     id_width = 2 * -(-len(str(int(ids.max()))) // 2)  # written two digits at a time
@@ -462,10 +457,8 @@ def _build_branch(root: Tuple[int, int, int], config: PddtConfig):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count from the argument or DIFFGRAPH_THREADS (0 = auto)."""
-    if workers is None:
-        workers = int(os.environ.get("DIFFGRAPH_THREADS", "0"))
-    if workers == 0:
+    """Worker count from the argument; None or 0 means the CPU count."""
+    if not workers:
         workers = os.cpu_count() or 1
     return max(1, workers)
 
@@ -479,16 +472,12 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     """
     # bit 0 carries no weight and must satisfy a^b^c = 0
     roots = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    if config.word_size == 1:
-        cols = list(zip(*[(a, b, c, 0) for a, b, c in roots]))
-        fragments = [tuple(np.array(col, dtype=np.uint64) for col in cols)]
+    nworkers = resolve_workers(workers)
+    if nworkers > 1:
+        with ThreadPoolExecutor(max_workers=min(nworkers, len(roots))) as pool:
+            fragments = list(pool.map(lambda r: _build_branch(r, config), roots))
     else:
-        nworkers = resolve_workers(workers)
-        if nworkers > 1:
-            with ThreadPoolExecutor(max_workers=min(nworkers, len(roots))) as pool:
-                fragments = list(pool.map(lambda r: _build_branch(r, config), roots))
-        else:
-            fragments = [_build_branch(r, config) for r in roots]
+        fragments = [_build_branch(r, config) for r in roots]
     a = np.concatenate([f[0] for f in fragments])
     b = np.concatenate([f[1] for f in fragments])
     c = np.concatenate([f[2] for f in fragments])

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
+from .errors import ParameterError
+
 # word size -> allowed numbers of key words
 VALID_KEY_WORDS = {
     16: (4,),
@@ -17,10 +19,6 @@ VALID_KEY_WORDS = {
     48: (2, 3),
     64: (2, 3, 4),
 }
-
-
-class ParameterError(ValueError):
-    """Raised when a word, rotation amount or variant parameter is out of range."""
 
 
 @dataclass(frozen=True)

@@ -524,6 +524,12 @@ class TestExports:
         with pytest.raises(ParameterError, match="does not fit in 4 bits"):
             export_graph(g, fmt)
 
+    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+    def test_value_within_hex_width_but_wider_than_word_size_rejected(self, fmt):
+        g = DiffGraph([DiffNode(0, 0xff, 0, 0, 1.0, 0)], [], 5)
+        with pytest.raises(ParameterError, match="does not fit in 5 bits"):
+            export_graph(g, fmt)
+
     def test_unknown_format(self):
         with pytest.raises(ParameterError):
             export_graph(make_two_node_graph(), "gexf")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from diffgraph import pddt as pddt_module
 from diffgraph.differential import brute_force_dp, dyadic_str
 from diffgraph.pddt import (
+    DiffNode,
     Pddt,
     PddtConfig,
     PddtOverflowError,
@@ -51,6 +52,18 @@ class TestBuild:
         loose = build_pddt(PddtConfig(8, 0.1)).triples()
         tight = build_pddt(PddtConfig(8, 0.5)).triples()
         assert tight <= loose
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("threshold", [1.0, 0.5, 0.1])
+    def test_one_bit_words(self, threshold, workers):
+        t = build_pddt(PddtConfig(1, threshold), workers=workers)
+        assert t.triples() == oracle_set(1, threshold)
+
+    def test_iterates_as_nodes_numbered_by_position(self):
+        t = build_pddt(PddtConfig(4, 0.25))
+        rows = zip(t.a.tolist(), t.b.tolist(), t.c.tolist(), t.hw.tolist())
+        assert list(t) == [DiffNode(i, a, b, c, 2.0 ** -hw, hw)
+                           for i, (a, b, c, hw) in enumerate(rows)]
 
     def test_worker_counts_agree(self):
         csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (1, 4)}
@@ -184,12 +197,6 @@ class TestSerialization:
         t = Pddt(PddtConfig(16, 0.5), [1], [1], [0], [1])
         assert b"0x0001,0x0001,0x0000" in t.to_csv()
 
-    def test_text_file_shim(self):
-        text = b"0x1 0x1 0x0 0.5\n3 3 0 0.25\n# comment\n"
-        t = Pddt.from_text_files([text], 4)
-        assert t.triples() == {(1, 1, 0), (3, 3, 0)}
-        assert list(t.hw) == [1, 2]
-
 
 def seed_to_csv(table):
     """Per-row reference formatter: the oracle for the numpy writer."""
@@ -246,6 +253,14 @@ class TestCodec:
             Pddt.from_csv(data)
         back = Pddt.from_csv(data[:data.rindex(b"\r\n")])  # no final newline
         assert back.to_csv() == expected[:expected.rindex(b"\n", 0, -1) + 1]
+
+    def test_values_checked_against_word_size_not_hex_width(self):
+        assert b",0x1f,0x00,0x1f," in Pddt(PddtConfig(5, 0.5), [0x1f], [0], [0x1f], [0]).to_csv()
+        for field in range(3):
+            cols = [[0], [0], [0]]
+            cols[field] = [0x20]
+            with pytest.raises(ParameterError, match="does not fit in 5 bits"):
+                Pddt(PddtConfig(5, 0.5), *cols, [0]).to_csv()
 
     def test_empty_input(self):
         for data in (b"", b"id,a,b,c,dp,hw\n", b"# only a comment\n\n"):
