@@ -27,6 +27,7 @@ from .pddt import (
     PddtOverflowError,
     SampleSpec,
     build_pddt,
+    node_columns,
     partial_dp,
     pddt_stats,
     sample_pddt,
@@ -41,7 +42,6 @@ from .graph import (
     build_graph,
     default_edge_rule,
     export_graph,
-    extract_subgraph,
     find_optimal_paths,
     graph_stats,
     printed_edge_rule,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from .errors import ParameterError
-from .graph import DiffGraph, DiffNode, PathResult, PathSearchWork, find_optimal_paths
+from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths
+from .pddt import node_columns
 
 
 class DominanceError(RuntimeError):
@@ -71,7 +72,7 @@ def _playout(graph: DiffGraph, start: int, rng: random.Random,
     choosing from the list of the n unvisited entries would.
     """
     path = [start]
-    total = graph.node(start).dp
+    total = graph.dp[start]
     while len(path) - 1 < max_depth:
         row = graph.successors[path[-1]]
         taken = []
@@ -88,7 +89,7 @@ def _playout(graph: DiffGraph, start: int, rng: random.Random,
                 break
             k += 1
         path.append(row[k])
-        total += graph.node(row[k]).dp
+        total += graph.dp[row[k]]
     return path, total
 
 
@@ -100,14 +101,15 @@ def _candidate(graph: DiffGraph, path: List[int],
         if target not in path:
             return None
         path = path[: path.index(target) + 1]
-    total = sum(graph.node(u).dp for u in path)
+    total = sum(map(graph.dp.__getitem__, path))
     return PathResult(tuple(path), total)
 
 
 def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     """Seeded flat Monte Carlo search; returns the best-so-far path."""
-    if start not in graph.successors:
-        raise ParameterError(f"start node {start} not in graph")
+    for node_id, name in ((start, "start"), (config.target_node, "target")):
+        if node_id is not None and node_id not in graph.dp:
+            raise ParameterError(f"{name} node {node_id} not in graph")
     t0 = time.perf_counter()
     best: Optional[PathResult] = None
     trace: List[Optional[PathResult]] = []
@@ -176,9 +178,9 @@ _FIG_TREE_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
 def build_fig_tree_fixture() -> DiffGraph:
     """Deterministic toy tree where half of all uniform root-to-leaf walks
     have total probability <= 1."""
-    nodes = [DiffNode(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in enumerate(_FIG_TREE_HW)]
+    rows = [(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in enumerate(_FIG_TREE_HW)]
     edges = [(u, v, "OUTPUT_WEIGHT") for u, v in _FIG_TREE_EDGES]
-    return DiffGraph(nodes, edges, 4)
+    return DiffGraph(node_columns(rows, 4), edges)
 
 
 def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
@@ -191,9 +193,9 @@ def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
             results.append(PathResult(tuple(path), total))
             return
         for v in succ:
-            walk(path + [v], total + graph.node(v).dp)
+            walk(path + [v], total + graph.dp[v])
 
-    walk([root], graph.node(root).dp)
+    walk([root], graph.dp[root])
     return results
 
 

@@ -33,11 +33,16 @@ def _parse_rule(args) -> graphmod.EdgeRule:
 
 
 def _parse_predicate(text: str) -> graphmod.Predicate:
-    """Inline predicate syntax: FIELD OP VALUE, e.g. 'weight>=0.5'."""
+    """Inline predicate syntax: FIELD OP VALUE, e.g. 'weight>=0.5' or
+    'output=0x1c00'; VALUE is an int in hex after 0x or in decimal, else a float."""
     for op in ("<=", ">=", "==", "="):
         if op in text:
             name, _, value = text.partition(op)
-            return graphmod.Predicate(name.strip(), op, float(value))
+            try:
+                value = int(value, 16 if value.strip()[:2].lower() == "0x" else 10)
+            except ValueError:
+                value = float(value)
+            return graphmod.Predicate(name.strip(), op, value)
     raise ParameterError(f"cannot parse predicate {text!r}; expected FIELD<=|>=|=VALUE")
 
 
@@ -81,7 +86,7 @@ def _cmd_graph_build(args) -> int:
     g = graphmod.build_graph(table, _parse_rule(args))
     Path(args.nodes_out).write_bytes(graphmod.to_nodes_csv(g))
     Path(args.edges_out).write_bytes(graphmod.to_edges_csv(g))
-    print(f"graph: {len(g.nodes)} nodes, {len(g.edges)} edges")
+    print(f"graph: {len(g.dp)} nodes, {len(g.edges)} edges")
     return EXIT_OK
 
 

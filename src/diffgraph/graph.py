@@ -7,21 +7,22 @@ database.  All queries are read-only and deterministic.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, starmap
-from operator import attrgetter
+from itertools import chain, compress, repeat, starmap
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import ParameterError
-from .pddt import DiffNode, Pddt, decode_differential_csv, encode_differential_csv, make_nodes
+import numpy as np
 
-# rule field name -> DiffNode attribute
-_NODE_ATTRS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "dp", "hw": "hw"}
-NODE_FIELDS = tuple(_NODE_ATTRS)
+from .errors import ParameterError
+from .pddt import (DP_OF_HW, DifferentialColumns, DiffNode, Pddt, decode_differential_csv,
+                   encode_differential_csv, make_nodes)
+
+# rule field name -> node column; weight is 2^-hw
+_NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
+NODE_FIELDS = tuple(_NODE_COLUMNS)
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
 
@@ -42,8 +43,15 @@ class Predicate:
         if self.op not in _OPS:
             raise RuleError(f"unknown operator {self.op!r}; expected one of {sorted(_OPS)}")
 
-    def matches(self, node: DiffNode) -> bool:
-        return _OPS[self.op](getattr(node, _NODE_ATTRS[self.field]), self.value)
+    def select(self, columns: DifferentialColumns) -> List[int]:
+        """Ids of the rows that satisfy the predicate, in row order. Values
+        are compared as Python ints and floats, exactly: a uint64 array
+        compared with a float is not exact above 2^53."""
+        values = getattr(columns, _NODE_COLUMNS[self.field]).tolist()
+        if self.field == "weight":
+            values = map(DP_OF_HW.__getitem__, values)
+        return list(compress(columns.ids.tolist(),
+                             map(_OPS[self.op], values, repeat(self.value))))
 
 
 @dataclass(frozen=True)
@@ -73,20 +81,21 @@ EDGE_RULE_PRESETS = {"default": default_edge_rule, "printed": printed_edge_rule}
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `successors[u]` and `predecessors[v]` are ascending id rows with
+    `columns` holds the nodes and `dp` maps each id to 2^-hw, both in node
+    order. `successors[u]` and `predecessors[v]` are ascending id rows with
     duplicate edges removed; `edges` keeps every edge, duplicates included.
     """
 
-    def __init__(self, nodes: Sequence[DiffNode], edges: Sequence[Tuple[int, int, str]],
-                 word_size: int):
-        self.nodes: List[DiffNode] = list(nodes)
+    def __init__(self, columns: DifferentialColumns, edges: Sequence[Tuple[int, int, str]]):
+        self.columns = columns
+        self.word_size = columns.word_size
         self.edges: List[Tuple[int, int, str]] = sorted(edges)
-        self.word_size = word_size
-        self._by_id: Dict[int, DiffNode] = {nd.node_id: nd for nd in self.nodes}
-        if len(self._by_id) != len(self.nodes):
+        ids = columns.ids.tolist()
+        self.dp: Dict[int, float] = dict(zip(ids, map(DP_OF_HW.__getitem__, columns.hw.tolist())))
+        if len(self.dp) != len(ids):
             raise ParameterError("duplicate node ids")
-        self.successors: Dict[int, List[int]] = {nd.node_id: [] for nd in self.nodes}
-        self.predecessors: Dict[int, List[int]] = {nd.node_id: [] for nd in self.nodes}
+        self.successors: Dict[int, List[int]] = {u: [] for u in ids}
+        self.predecessors: Dict[int, List[int]] = {u: [] for u in ids}
         # edges are sorted, so every row fills in ascending order and a
         # duplicate (src, dst) pair follows its first copy directly
         for src, dst, _label in self.edges:
@@ -98,32 +107,31 @@ class DiffGraph:
                 row.append(dst)
                 column.append(src)
 
-    def node(self, node_id: int) -> DiffNode:
-        return self._by_id[node_id]
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Adjacent nodes ignoring direction (undirected matching)."""
-        merged = heapq.merge(self.successors[node_id], self.predecessors[node_id])
-        return list(dict.fromkeys(merged))
+    @property
+    def nodes(self) -> List[DiffNode]:
+        """The nodes as rows, built on each access."""
+        return make_nodes(self.columns.ids.tolist(), *self.columns[1:5])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DiffGraph) and self.nodes == other.nodes
-                and self.edges == other.edges and self.word_size == other.word_size)
+        return (isinstance(other, DiffGraph) and self.edges == other.edges
+                and self.word_size == other.word_size
+                and all(map(np.array_equal, self.columns[:5], other.columns[:5])))
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
     """Nodes from every sample entry, edges from the rule's cross product."""
     if len(sample) == 0:
         raise ParameterError("cannot build a graph from an empty sample")
-    nodes = list(sample)
-    sources = [nd.node_id for nd in nodes if rule.source_predicate.matches(nd)]
-    targets = [nd.node_id for nd in nodes if rule.target_predicate.matches(nd)]
+    columns = DifferentialColumns(np.arange(len(sample)), sample.a, sample.b, sample.c,
+                                  sample.hw, sample.config.word_size)
+    sources = rule.source_predicate.select(columns)
+    targets = rule.target_predicate.select(columns)
     edges = [
         (u, v, rule.relation_label)
         for u in sources for v in targets
         if rule.allow_self_loops or u != v
     ]
-    return DiffGraph(nodes, edges, sample.config.word_size)
+    return DiffGraph(columns, edges)
 
 
 # --- statistics --------------------------------------------------------
@@ -141,7 +149,7 @@ class GraphStats:
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
-    ids = [nd.node_id for nd in graph.nodes]
+    ids = list(graph.dp)
     in_deg = dict.fromkeys(ids, 0)
     out_deg = dict.fromkeys(ids, 0)
     for src, dst, _label in graph.edges:
@@ -186,7 +194,7 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
             links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
             clustering[x] = 2.0 * links / (k * (k - 1))
 
-    return GraphStats(len(graph.nodes), len(graph.edges), in_deg, out_deg,
+    return GraphStats(len(ids), len(graph.edges), in_deg, out_deg,
                       hubs, components, clustering)
 
 
@@ -235,9 +243,9 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
         raise ParameterError(f"max_hops {max_hops} < 1")
     if limit < 1:
         raise ParameterError(f"limit {limit} < 1")
-    by_id = graph._by_id
+    dp = graph.dp
     if src == dst:
-        return [PathResult((src,), by_id[src].dp)]
+        return [PathResult((src,), dp[src])]
 
     dist = {dst: 0}
     frontier = [dst]
@@ -267,20 +275,20 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
         if left == 1:
             i = bisect_left(row, dst)
             if i < len(row) and row[i] == dst:
-                layer.append(PathResult(tuple(path) + (dst,), total + by_id[dst].dp))
+                layer.append(PathResult(tuple(path) + (dst,), total + dp[dst]))
             return
         for v in row:
             if dist.get(v, left) < left and v not in on_path and v != dst:
                 path.append(v)
                 on_path.add(v)
-                extend(v, total + by_id[v].dp, left - 1)
+                extend(v, total + dp[v], left - 1)
                 path.pop()
                 on_path.remove(v)
 
     results: List[PathResult] = []
     for hops in range(dist[src], max_hops + 1):
         layer.clear()
-        extend(src, by_id[src].dp, hops)
+        extend(src, dp[src], hops)
         results.extend(sorted(layer, key=lambda p: p.rank_key))
         if len(results) >= limit:
             break
@@ -289,29 +297,14 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     return results[:limit]
 
 
-def extract_subgraph(graph: DiffGraph, limit: int) -> DiffGraph:
-    """First `limit` edges in (src, dst) order plus their incident nodes."""
-    if limit < 0:
-        raise ParameterError(f"negative limit {limit}")
-    edges = graph.edges[:limit]
-    incident = {u for u, _v, _l in edges} | {v for _u, v, _l in edges}
-    nodes = [nd for nd in graph.nodes if nd.node_id in incident]
-    return DiffGraph(nodes, edges, graph.word_size)
-
-
 # --- exports -----------------------------------------------------------
 
 
-def _nodes_csv(graph: DiffGraph) -> bytes:
-    # not zip(*nodes), whose one GC-tracked iterator per node sets off collections
-    ids, a, b, c, hw = (list(map(attrgetter(f), graph.nodes))
-                        for f in ("node_id", "a", "b", "c", "hw"))
-    return encode_differential_csv("id,input_a,input_b,output,weight,hw", ids, a, b, c, hw,
-                                   graph.word_size)
+_NODES_HEADER = "id,input_a,input_b,output,weight,hw"
 
 
 def to_nodes_csv(graph: DiffGraph) -> bytes:
-    return _nodes_csv(graph)
+    return encode_differential_csv(_NODES_HEADER, *graph.columns)
 
 
 def to_edges_csv(graph: DiffGraph) -> bytes:
@@ -322,8 +315,7 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     """Rebuild a graph from its nodes+edges CSV export; a malformed line
     raises ValueError naming its 1-based line number."""
-    cols = decode_differential_csv(nodes_csv)
-    nodes = make_nodes(cols.ids.tolist(), cols.a, cols.b, cols.c, cols.hw)
+    columns = decode_differential_csv(nodes_csv)
     edges = []
     for number, line in enumerate(edges_csv.decode("utf-8").splitlines(), 1):
         line = line.strip()
@@ -337,7 +329,7 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
             if not (text.isascii() and text.isdigit()):
                 raise ValueError(f"line {number}: field {k} must be a decimal id, got {text!r}")
         edges.append((int(src), int(dst), label))
-    return DiffGraph(nodes, edges, cols.word_size)
+    return DiffGraph(columns, edges)
 
 
 # A text export is (head lines, node line, edge line, tail lines). A node line
@@ -381,8 +373,8 @@ _CYPHER = ((),
 
 def _render(graph: DiffGraph, template) -> bytes:
     head, node_line, edge_line, tail = template
-    rows = _nodes_csv(graph).decode("ascii").split("\n")[1:-1]
-    nodes = starmap(node_line.format, (row.split(",") for row in rows))
+    rows = encode_differential_csv(_NODES_HEADER, *graph.columns).decode("ascii")
+    nodes = starmap(node_line.format, (row.split(",") for row in rows.split("\n")[1:-1]))
     edges = starmap(edge_line.format, graph.edges)
     return ("\n".join(chain(head, nodes, edges, tail)) + "\n").encode("utf-8")
 

@@ -56,8 +56,8 @@ class PddtConfig:
     def __post_init__(self):
         if not 0 < self.p_threshold <= 1:
             raise ParameterError(f"threshold {self.p_threshold} outside (0, 1]")
-        if self.word_size < 1:
-            raise ParameterError(f"word size {self.word_size} < 1")
+        if not 1 <= self.word_size <= 64:
+            raise ParameterError(f"word size {self.word_size} outside 1..64")
 
     @property
     def max_weight(self) -> int:
@@ -90,12 +90,28 @@ class DiffNode(NamedTuple):
     hw: int
 
 
+# hw -> dp = 2^-hw for every weight a uint8 column holds
+DP_OF_HW = [2.0 ** -w for w in range(256)]
+
+
 def make_nodes(ids, a, b, c, hw) -> List[DiffNode]:
     """One node per id and row of the numpy columns a, b, c, hw; dp = 2^-hw."""
     hw = hw.tolist()
-    dp = [2.0 ** -w for w in range(max(hw, default=0) + 1)]
     return list(starmap(DiffNode, zip(ids, a.tolist(), b.tolist(), c.tolist(),
-                                      map(dp.__getitem__, hw), hw)))
+                                      map(DP_OF_HW.__getitem__, hw), hw)))
+
+
+def node_columns(rows, word_size: int) -> DifferentialColumns:
+    """The columns of (node_id, a, b, c, dp, hw) rows, the inverse of
+    make_nodes; a row whose dp is not 2^-hw raises ParameterError."""
+    rows = list(rows)
+    ids, a, b, c, dp, hw = ([row[k] for row in rows] for k in range(6))
+    for node_id, p, w in zip(ids, dp, hw):
+        if p != 2.0 ** -w:
+            raise ParameterError(f"node {node_id}: dp {p} is not 2^-{w}")
+    return DifferentialColumns(np.array(ids, dtype=np.int64),
+                               *(np.array(x, dtype=np.uint64) for x in (a, b, c)),
+                               np.array(hw, dtype=np.uint8), word_size)
 
 
 class Pddt:

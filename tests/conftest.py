@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from diffgraph.graph import DiffGraph, DiffNode, build_graph, default_edge_rule
-from diffgraph.pddt import Pddt, PddtConfig
+from diffgraph.pddt import Pddt, PddtConfig, node_columns
 
 
 def make_hub_sample(n_nodes: int = 240, n_hubs: int = 4) -> Pddt:
@@ -30,12 +30,12 @@ def make_diamond() -> DiffGraph:
         DiffNode(3, 3, 3, 0, 0.25, 2),
     ]
     edges = [(0, 1, "E"), (0, 2, "E"), (1, 3, "E"), (2, 3, "E")]
-    return DiffGraph(nodes, edges, 4)
+    return DiffGraph(node_columns(nodes, 4), edges)
 
 
 def make_two_node_graph() -> DiffGraph:
     nodes = [DiffNode(0, 1, 1, 0, 0.5, 1), DiffNode(1, 3, 3, 0, 0.25, 2)]
-    return DiffGraph(nodes, [(0, 1, "OUTPUT_WEIGHT")], 4)
+    return DiffGraph(node_columns(nodes, 4), [(0, 1, "OUTPUT_WEIGHT")])
 
 
 @st.composite
@@ -47,4 +47,4 @@ def digraphs(draw, max_nodes=9):
     nodes = [DiffNode(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in zip(ids, hws)]
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(["E", "F"])), max_size=40))
-    return DiffGraph(nodes, edges, 4)
+    return DiffGraph(node_columns(nodes, 4), edges)

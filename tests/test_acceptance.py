@@ -112,7 +112,7 @@ def test_criterion_5_graph_figure():
     stats = graph_stats(graph)
     assert len(stats.hubs) == 4
     assert all(stats.in_degree[h] == 240 for h in stats.hubs)
-    assert all(graph.node(h).dp == 0.5 for h in stats.hubs)
+    assert all(graph.dp[h] == 0.5 for h in stats.hubs)
     assert time.perf_counter() - t0 < 1
 
 

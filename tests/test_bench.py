@@ -19,6 +19,7 @@ from diffgraph.bench import (
     min_weight_leaf_path,
 )
 from diffgraph.graph import DiffGraph, DiffNode, PathResult, to_nodes_csv, to_edges_csv
+from diffgraph.pddt import node_columns
 from diffgraph.simon import ParameterError
 
 
@@ -76,7 +77,7 @@ class TestFixture:
 
 class TestMcs:
     def test_isolated_start(self):
-        g = DiffGraph([DiffNode(0, 0, 0, 0, 1.0, 0)], [], 4)
+        g = DiffGraph(node_columns([DiffNode(0, 0, 0, 0, 1.0, 0)], 4), [])
         report = mcs_search(g, 0, McsConfig(playouts=20, seed=1))
         assert report.best_path is None
         assert len(report.walk_totals) == 20
@@ -186,7 +187,8 @@ class TestCompare:
         assert mcs_report.best_path.node_sequence == (0, 1)
 
     def test_zero_edge_graph(self):
-        g = DiffGraph([DiffNode(0, 0, 0, 0, 1.0, 0), DiffNode(1, 1, 1, 0, 0.5, 1)], [], 4)
+        nodes = [DiffNode(0, 0, 0, 0, 1.0, 0), DiffNode(1, 1, 1, 0, 0.5, 1)]
+        g = DiffGraph(node_columns(nodes, 4), [])
         mcs_report, graph_report = compare(g, 0, 1, McsConfig(playouts=10, seed=0))
         assert mcs_report.best_path is None
         assert graph_report.best_path is None

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -88,6 +89,19 @@ class TestPddtCommands:
         assert err.startswith("error: line 3: field 3 must be 0x")
         assert "Traceback" not in err
 
+    def test_word_size_above_64_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(tmp_path, "pddt", "build", "--n", 65, "--threshold", 1.0, "--out", out) == 1
+        assert capsys.readouterr().err == "error: word size 65 outside 1..64\n"
+        assert not out.exists()
+
+    def test_64_bit_words_build(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(tmp_path, "pddt", "build", "--n", 64, "--threshold", 1.0, "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote 4 entries to {out}\n"
+        assert out.read_text().splitlines()[2] == ("1,0x0000000000000000,0x8000000000000000,"
+                                                   "0x8000000000000000,1,0")
+
     def test_bad_threshold_is_runtime_error(self, tmp_path):
         assert run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 2.0,
                    "--out", tmp_path / "x.csv") == 1
@@ -157,6 +171,31 @@ class TestPipeline:
                    "--nodes-out", tmp_path / "n.csv", "--edges-out", tmp_path / "e.csv") == 0
         assert "graph:" in capsys.readouterr().out
 
+    def test_hex_predicate_value_equals_decimal(self, tmp_path):
+        table = tmp_path / "t.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        written = []
+        for value in ("0", "0x0"):
+            nodes, edges = tmp_path / f"n{value}.csv", tmp_path / f"e{value}.csv"
+            assert run(tmp_path, "graph", "build", "--input", table,
+                       "--source-predicate", f"output={value}", "--target-predicate", "hw<=1",
+                       "--nodes-out", nodes, "--edges-out", edges) == 0
+            written.append((nodes.read_bytes(), edges.read_bytes()))
+        assert written[0] == written[1]
+        assert written[0][1].count(b"\n") > 1
+
+    @pytest.mark.parametrize("value", ["9007199254740993", "0x20000000000001"])
+    def test_integer_predicate_value_is_exact_above_2_53(self, tmp_path, value):
+        # 2^53 and 2^53 + 1 are the same float
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        table.write_text("id,a,b,c,dp,hw\n"
+                         "0,0x0020000000000000,0x0000000000000000,0x0000000000000000,1,0\n"
+                         "1,0x0020000000000001,0x0000000000000000,0x0000000000000000,1,0\n")
+        assert run(tmp_path, "graph", "build", "--input", table,
+                   "--source-predicate", f"input_a={value}", "--target-predicate", "hw=0",
+                   "--nodes-out", nodes, "--edges-out", edges) == 0
+        assert edges.read_text().splitlines()[1:] == ["1,0,OUTPUT_WEIGHT", "1,1,OUTPUT_WEIGHT"]
+
     def test_preset_takes_self_loop_and_label_flags(self, tmp_path):
         table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
         run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
@@ -210,3 +249,63 @@ class TestBenchCommands:
                    "--max-depth", 4) == 0
         out = capsys.readouterr().out
         assert "mcs,3,100" in out and "graph," in out
+
+    def test_mcs_unknown_dst_is_runtime_error(self, graph_files, tmp_path, capsys):
+        nodes, edges = graph_files
+        capsys.readouterr()
+        assert run(tmp_path, "bench", "mcs", "--nodes", nodes, "--edges", edges,
+                   "--src", 0, "--dst", 99999) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: target node 99999 not in graph\n"
+        assert captured.out == ""
+
+
+class TestGolden:
+    """sha256 of every file and report of one n=8 chain, fixed when graph
+    nodes were still per-row objects; `elapsed_ms` is left out."""
+
+    EXPECTED = {
+        "t.csv": "b681f8ba60edce2f41935d359bf5c2a6e1b2dc2c76cd4f7fe141e5d63f03e113",
+        "s.csv": "b1731d524d8910f47484858b1be6c4bd4a33dd59764818357e0e948075c39a38",
+        "n.csv": "3c5e547af0867b90c6ab30dfaa2c3d125406fd759507f7f8ad13f72cd1b8ef9b",
+        "e.csv": "61ed046cfb7d40cc50aeabeeff8b23c1b5daa83e7305c8790b50a97f04a15d7a",
+        "g.nodes.csv": "3c5e547af0867b90c6ab30dfaa2c3d125406fd759507f7f8ad13f72cd1b8ef9b",
+        "g.edges.csv": "61ed046cfb7d40cc50aeabeeff8b23c1b5daa83e7305c8790b50a97f04a15d7a",
+        "g.graphml": "88f628d56070a1ff4e9da5084ce572fd7534d7bda4570bde074b66c9d6090729",
+        "g.dot": "c5dbe6e83bd211f8d91691c3ecc359e9b2b7d36e914265277ad4a1b147d37a2d",
+        "g.cypher": "4c97312e5b013232db4037f75b697f440c11b3bb28107e0d9af92dbaac7320f5",
+        "stats": "fed280b245df09c93fad201e0c5a58225ffa7e24fdfe3a1ad9bc5eb949b3dd4a",
+        "paths": "1025f2681dcae08044277b94fdd7182e944d46a5af59b048537a71d880d77aeb",
+        "compare": "fcbbb43d66e80dcc97a6583e3e83a30facf056133ce7e7aa6fd54b113fa945c5",
+    }
+
+    def test_chain_bytes(self, tmp_path, capsys):
+        table, sample = tmp_path / "t.csv", tmp_path / "s.csv"
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        graph_in = ["--nodes", nodes, "--edges", edges]
+        assert run(tmp_path, "pddt", "build", "--n", 8, "--threshold", 0.1, "--out", table) == 0
+        assert run(tmp_path, "pddt", "sample", "--input", table, "--fraction", 0.1,
+                   "--seed", 3, "--out", sample) == 0
+        assert run(tmp_path, "graph", "build", "--input", sample, "--rule", "default",
+                   "--nodes-out", nodes, "--edges-out", edges) == 0
+        for fmt in ("csv", "graphml", "dot", "cypher"):
+            assert run(tmp_path, "graph", "export", *graph_in, "--format", fmt,
+                       "--out", tmp_path / f"g.{fmt}") == 0
+        capsys.readouterr()
+        reports = {}
+        assert run(tmp_path, "graph", "stats", *graph_in) == 0
+        reports["stats"] = capsys.readouterr().out
+        assert run(tmp_path, "graph", "paths", *graph_in, "--src", 73, "--dst", 333,
+                   "--max-hops", 3, "--limit", 5) == 0
+        reports["paths"] = capsys.readouterr().out
+        assert run(tmp_path, "bench", "compare", *graph_in, "--src", 73, "--dst", 333,
+                   "--playouts", 200, "--seed", 5, "--max-depth", 4) == 0
+        reports["compare"] = "".join(line.rpartition(",")[0] + "\n"
+                                     for line in capsys.readouterr().out.splitlines())
+        files = ["t.csv", "s.csv", "n.csv", "e.csv", "g.nodes.csv", "g.edges.csv",
+                 "g.graphml", "g.dot", "g.cypher"]
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in files}
+        got.update((name, hashlib.sha256(text.encode()).hexdigest())
+                   for name, text in reports.items())
+        assert got == self.EXPECTED

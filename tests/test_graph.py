@@ -19,7 +19,6 @@ from diffgraph.graph import (
     build_graph,
     default_edge_rule,
     export_graph,
-    extract_subgraph,
     find_optimal_paths,
     from_csv,
     graph_stats,
@@ -30,7 +29,7 @@ from diffgraph.graph import (
     to_graphml,
     to_nodes_csv,
 )
-from diffgraph.pddt import Pddt, PddtConfig
+from diffgraph.pddt import Pddt, PddtConfig, node_columns
 from diffgraph.simon import ParameterError
 
 NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
@@ -246,10 +245,19 @@ class TestEdgeRule:
         # exact Python comparisons, also for values above 2**53
         a, b, c, hw = values
         node = DiffNode(7, a, b, c, 2.0 ** -hw, hw)
+        columns = node_columns([node], 64)
         ops = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
         for value in (bound, a, a + 1, c - 1, 2.0 ** -hw):
             expected = ops[op](reference_field(node, field), value)
-            assert Predicate(field, op, value).matches(node) is expected
+            assert Predicate(field, op, value).select(columns) == ([7] if expected else [])
+
+
+    def test_select_is_exact_above_2_53(self):
+        # 2^53 + 1 rounds to the float 2^53, so a numpy mask would match it
+        columns = node_columns([DiffNode(0, 2**53 + 1, 0, 0, 1.0, 0)], 64)
+        assert Predicate("input_a", "=", float(2**53)).select(columns) == []
+        assert Predicate("input_a", ">=", float(2**53 + 2)).select(columns) == []
+        assert Predicate("input_a", "=", 2**53 + 1).select(columns) == [0]
 
 
 class TestBuildGraph:
@@ -299,11 +307,15 @@ class TestAdjacency:
     def test_rows_sorted_without_duplicates(self):
         nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in (3, 0, 2)]
         edges = [(3, 0, "F"), (0, 2, "E"), (3, 0, "E"), (0, 2, "E"), (3, 2, "E"), (2, 2, "E")]
-        g = DiffGraph(nodes, edges, 4)
+        g = DiffGraph(node_columns(nodes, 4), edges)
         assert g.successors == {3: [0, 2], 0: [2], 2: [2]}
         assert g.predecessors == {3: [], 0: [3], 2: [0, 2, 3]}
-        assert g.neighbors(2) == [0, 2, 3]
         assert len(g.edges) == 6
+
+    def test_duplicate_node_ids_rejected(self):
+        nodes = [DiffNode(4, 1, 1, 0, 0.5, 1), DiffNode(4, 3, 3, 0, 0.25, 2)]
+        with pytest.raises(ParameterError, match="duplicate node ids"):
+            DiffGraph(node_columns(nodes, 4), [])
 
     @given(digraphs())
     def test_rows_are_the_sorted_edge_sets(self, g):
@@ -311,12 +323,11 @@ class TestAdjacency:
         for u in successors:
             assert g.successors[u] == sorted(set(successors[u]))
             assert g.predecessors[u] == sorted(set(predecessors[u]))
-            assert g.neighbors(u) == sorted(set(successors[u]) | set(predecessors[u]))
 
 
 class TestStats:
     def test_empty_graph(self):
-        s = graph_stats(DiffGraph([], [], 4))
+        s = graph_stats(DiffGraph(node_columns([], 4), []))
         assert s.node_count == 0 and s.edge_count == 0
         assert s.hubs == [] and s.components == []
 
@@ -329,12 +340,12 @@ class TestStats:
     def test_star_center_clustering_zero(self):
         nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in range(5)]
         edges = [(0, i, "E") for i in range(1, 5)]
-        s = graph_stats(DiffGraph(nodes, edges, 4))
+        s = graph_stats(DiffGraph(node_columns(nodes, 4), edges))
         assert s.clustering[0] == 0.0
 
     def test_components(self):
         nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in range(4)]
-        g = DiffGraph(nodes, [(0, 1, "E"), (2, 3, "E")], 4)
+        g = DiffGraph(node_columns(nodes, 4), [(0, 1, "E"), (2, 3, "E")])
         assert graph_stats(g).components == [[0, 1], [2, 3]]
 
     @given(digraphs())
@@ -419,28 +430,6 @@ class TestPaths:
                 assert find_optimal_paths(hub_graph, src, dst, 3, limit) == every[:limit]
 
 
-class TestSubgraph:
-    def test_limit_zero(self, hub_graph):
-        g = extract_subgraph(hub_graph, 0)
-        assert g.nodes == [] and g.edges == []
-
-    def test_limit_at_least_edge_count_is_identity(self, hub_graph):
-        g = extract_subgraph(hub_graph, len(hub_graph.edges))
-        assert g.edges == hub_graph.edges
-        # every node is incident to a hub edge in this fixture
-        assert g.nodes == hub_graph.nodes
-
-    def test_limit_150(self, hub_graph):
-        g = extract_subgraph(hub_graph, 150)
-        assert len(g.edges) == 150
-        incident = {u for u, v, _ in g.edges} | {v for u, v, _ in g.edges}
-        assert {nd.node_id for nd in g.nodes} == incident
-
-    def test_prefix_in_sorted_order(self, hub_graph):
-        g = extract_subgraph(hub_graph, 10)
-        assert g.edges == sorted(hub_graph.edges)[:10]
-
-
 class TestExports:
     GOLDEN_NODES = (
         "id,input_a,input_b,output,weight,hw\n"
@@ -481,7 +470,7 @@ class TestExports:
         assert len(graph.findall(f"{ns}edge")) == 1
 
     def test_empty_graph_documents(self):
-        g = DiffGraph([], [], 4)
+        g = DiffGraph(node_columns([], 4), [])
         for fmt in ("csv", "graphml", "dot", "cypher"):
             for data in export_graph(g, fmt).values():
                 assert isinstance(data, bytes)
@@ -520,13 +509,13 @@ class TestExports:
     def test_value_wider_than_word_size_rejected(self, fmt, field):
         values = [0, 0, 0]
         values[field - 1] = 0x10
-        g = DiffGraph([DiffNode(0, *values, 1.0, 0)], [], 4)
+        g = DiffGraph(node_columns([DiffNode(0, *values, 1.0, 0)], 4), [])
         with pytest.raises(ParameterError, match="does not fit in 4 bits"):
             export_graph(g, fmt)
 
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_value_within_hex_width_but_wider_than_word_size_rejected(self, fmt):
-        g = DiffGraph([DiffNode(0, 0xff, 0, 0, 1.0, 0)], [], 5)
+        g = DiffGraph(node_columns([DiffNode(0, 0xff, 0, 0, 1.0, 0)], 5), [])
         with pytest.raises(ParameterError, match="does not fit in 5 bits"):
             export_graph(g, fmt)
 

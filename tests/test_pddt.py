@@ -13,6 +13,7 @@ from diffgraph.pddt import (
     PddtOverflowError,
     SampleSpec,
     build_pddt,
+    node_columns,
     partial_dp,
     pddt_stats,
     sample_pddt,
@@ -65,6 +66,17 @@ class TestBuild:
         assert list(t) == [DiffNode(i, a, b, c, 2.0 ** -hw, hw)
                            for i, (a, b, c, hw) in enumerate(rows)]
 
+    def test_node_columns_invert_make_nodes(self):
+        t = build_pddt(PddtConfig(4, 0.25))
+        cols = node_columns(t, 4)
+        assert cols.ids.tolist() == list(range(len(t))) and cols.word_size == 4
+        for got, want in zip(cols[1:5], (t.a, t.b, t.c, t.hw)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_node_columns_reject_dp_other_than_two_to_minus_hw(self):
+        with pytest.raises(ParameterError, match="node 3: dp 0.25 is not 2\\^-1"):
+            node_columns([DiffNode(3, 1, 1, 0, 0.25, 1)], 4)
+
     def test_worker_counts_agree(self):
         csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (1, 4)}
         assert len(csvs) == 1
@@ -83,6 +95,17 @@ class TestBuild:
             PddtConfig(4, 0.0)
         with pytest.raises(ParameterError):
             PddtConfig(4, 1.5)
+
+    @pytest.mark.parametrize("word_size", [0, 65])
+    def test_word_size_outside_1_to_64_rejected(self, word_size):
+        # the columns are uint64; a shift by 64 or more would wrap to 0
+        with pytest.raises(ParameterError, match=f"word size {word_size} outside 1..64"):
+            PddtConfig(word_size, 1.0)
+
+    def test_64_bit_words(self):
+        top = 1 << 63
+        t = build_pddt(PddtConfig(64, 1.0))
+        assert t.triples() == {(0, 0, 0), (0, top, top), (top, 0, top), (top, top, 0)}
 
 
 class TestPartialDp:
