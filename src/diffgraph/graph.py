@@ -8,6 +8,7 @@ database.  All queries are read-only and deterministic.
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -26,9 +27,13 @@ NODE_FIELDS = tuple(_NODE_COLUMNS)
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
 
+# a relation label is written unquoted into the edges CSV and every export
+_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 class RuleError(ValueError):
-    """Edge-rule predicate references an unknown field or operator."""
+    """Edge-rule predicate references an unknown field or operator, or the
+    relation label is not an identifier."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,10 @@ class EdgeRule:
     target_predicate: Predicate
     allow_self_loops: bool = True
     relation_label: str = "OUTPUT_WEIGHT"
+
+    def __post_init__(self):
+        if not _LABEL.fullmatch(self.relation_label):
+            raise RuleError(f"relation label {self.relation_label!r} must match {_LABEL.pattern}")
 
 
 def default_edge_rule() -> EdgeRule:
@@ -317,6 +326,7 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     raises ValueError naming its 1-based line number."""
     columns = decode_differential_csv(nodes_csv)
     edges = []
+    labels = set()  # labels already checked
     for number, line in enumerate(edges_csv.decode("utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("src_id,"):
@@ -328,6 +338,11 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
         for k, text in ((1, src), (2, dst)):
             if not (text.isascii() and text.isdigit()):
                 raise ValueError(f"line {number}: field {k} must be a decimal id, got {text!r}")
+        if label not in labels:
+            if not _LABEL.fullmatch(label):
+                raise ValueError(f"line {number}: field 3 must be a label matching "
+                                 f"{_LABEL.pattern}, got {label!r}")
+            labels.add(label)
         edges.append((int(src), int(dst), label))
     return DiffGraph(columns, edges)
 

@@ -10,7 +10,9 @@ Internally the frontier of live prefixes is held in numpy arrays and
 expanded one bit position at a time; a prefix is summarised by its
 weight so far plus a three-way carry state (bits at the previous
 position all equal with common value 0 or 1, or not all equal), which is
-all the validity condition looks at.
+all the validity condition looks at.  The two all-equal states are
+numbered by their common bit (_EQ0 = 0, _EQ1 = 1): a prefix in such a
+state may only take a next triple whose xor equals the state itself.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import random
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
-from itertools import starmap
+from itertools import product, starmap
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -30,7 +32,8 @@ from .errors import ParameterError
 
 log = logging.getLogger(__name__)
 
-# carry states of a prefix
+# carry states of a prefix; an all-equal state is its common bit, which
+# _expand_level compares with the parity of the next triple
 _EQ0 = 0  # previous bits of a,b,c all equal 0
 _EQ1 = 1  # previous bits of a,b,c all equal 1
 _NEQ = 2  # previous bits not all equal
@@ -146,20 +149,19 @@ class Pddt:
                                        self.c, self.hw, self.config.word_size)
 
     @classmethod
-    def from_csv(cls, data: bytes, p_threshold: Optional[float] = None) -> "Pddt":
+    def from_csv(cls, data: bytes) -> "Pddt":
         """Parse the canonical CSV (see `decode_differential_csv`).
 
-        The word size is recovered from the hex field width; if the
-        threshold is not given, the smallest dp present is used.  Rows
-        are returned in (a, b, c) order.
+        The word size is recovered from the hex field width and the
+        threshold is the smallest dp present.  Rows are returned in
+        (a, b, c) order.
         """
         cols = decode_differential_csv(data)
         a, b, c, hw = cols.a, cols.b, cols.c, cols.hw
         if not _is_sorted(a, b, c):
             order = np.lexsort((c, b, a))
             a, b, c, hw = a[order], b[order], c[order], hw[order]
-        if p_threshold is None:
-            p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
+        p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
         return cls(PddtConfig(cols.word_size, p_threshold), a, b, c, hw)
 
 
@@ -421,38 +423,21 @@ def partial_dp(a: int, b: int, c: int, k: int) -> float:
 
 
 def _expand_level(frontier, bit: int, max_weight: int):
-    """One bit-assignment step; returns the surviving child frontier."""
+    """One bit-assignment step: each prefix's children, triple by triple.
+
+    A prefix takes (x, y, z) if its previous bits disagree and it has weight
+    to spare (`heavy`: the child weighs one more), or if their common bit,
+    the state itself, equals x ^ y ^ z.
+    """
     a, b, c, w, state = frontier
-    shift = np.uint64(bit)
+    heavy = (state == _NEQ) & (w < max_weight)
     children = []
-    for x, y, z in ((x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)):
-        if x == y == z:
-            new_state = _EQ0 if x == 0 else _EQ1
-        else:
-            new_state = _NEQ
-        parity = x ^ y ^ z
-        # eq-state prefixes force the new xor to match the previous common
-        # bit; neq-state prefixes accept any assignment but pay one weight
-        keep = (state == _NEQ) | (state == (_EQ0 if parity == 0 else _EQ1))
-        if not keep.any():
-            continue
-        wc = w[keep] + (state[keep] == _NEQ)
-        alive = wc <= max_weight
-        if not alive.any():
-            continue
-        idx = np.flatnonzero(keep)[alive]
-        wc = wc[alive]
-        children.append((
-            a[idx] | (np.uint64(x) << shift),
-            b[idx] | (np.uint64(y) << shift),
-            c[idx] | (np.uint64(z) << shift),
-            wc,
-            np.full(len(idx), new_state, dtype=np.uint8),
-        ))
-    if not children:
-        empty = np.empty(0, dtype=np.uint64)
-        return empty, empty, empty, np.empty(0, dtype=np.uint16), np.empty(0, dtype=np.uint8)
-    return tuple(np.concatenate(parts) for parts in zip(*children))
+    for x, y, z in product((0, 1), repeat=3):
+        idx = np.flatnonzero(heavy | (state == x ^ y ^ z))
+        children.append((a[idx] | np.uint64(x << bit), b[idx] | np.uint64(y << bit),
+                         c[idx] | np.uint64(z << bit), w[idx] + heavy[idx],
+                         np.full(len(idx), x if x == y == z else _NEQ, dtype=np.uint8)))
+    return tuple(map(np.concatenate, zip(*children)))
 
 
 def _build_branch(root: Tuple[int, int, int], config: PddtConfig):
@@ -462,8 +447,7 @@ def _build_branch(root: Tuple[int, int, int], config: PddtConfig):
         np.array([root[1]], dtype=np.uint64),
         np.array([root[2]], dtype=np.uint64),
         np.zeros(1, dtype=np.uint16),
-        np.array([_EQ0 if root == (0, 0, 0) else (_EQ1 if root == (1, 1, 1) else _NEQ)],
-                 dtype=np.uint8),
+        np.array([_EQ0 if root == (0, 0, 0) else _NEQ], dtype=np.uint8),
     )
     for bit in range(1, config.word_size):
         frontier = _expand_level(frontier, bit, config.max_weight)
@@ -494,10 +478,7 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
             fragments = list(pool.map(lambda r: _build_branch(r, config), roots))
     else:
         fragments = [_build_branch(r, config) for r in roots]
-    a = np.concatenate([f[0] for f in fragments])
-    b = np.concatenate([f[1] for f in fragments])
-    c = np.concatenate([f[2] for f in fragments])
-    hw = np.concatenate([f[3] for f in fragments])
+    a, b, c, hw = map(np.concatenate, zip(*fragments))
     if len(a) > config.max_elements:
         raise PddtOverflowError(len(a), config.max_elements)
     order = np.lexsort((c, b, a))

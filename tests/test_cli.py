@@ -205,6 +205,20 @@ class TestPipeline:
         rows = [line.split(",") for line in edges.read_text().splitlines()[1:]]
         assert rows and all(label == "HUB" and src != dst for src, dst, label in rows)
 
+    @pytest.mark.parametrize("label", ["A,B", 'A"<B'])
+    def test_relation_label_must_be_identifier(self, tmp_path, capsys, label):
+        # 'A,B' used to write an edges file every later graph command rejected
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        capsys.readouterr()
+        assert run(tmp_path, "graph", "build", "--input", table, "--rule", "default",
+                   "--relation-label", label, "--nodes-out", nodes, "--edges-out", edges) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: relation label {label!r} must match "
+                                "[A-Za-z_][A-Za-z0-9_]*\n")
+        assert captured.out == ""
+        assert not nodes.exists() and not edges.exists()
+
     def test_golden_cypher_two_node_fixture(self, tmp_path, capsys):
         nodes = tmp_path / "n.csv"
         edges = tmp_path / "e.csv"

@@ -259,6 +259,21 @@ class TestEdgeRule:
         assert Predicate("input_a", ">=", float(2**53 + 2)).select(columns) == []
         assert Predicate("input_a", "=", 2**53 + 1).select(columns) == [0]
 
+    @pytest.mark.parametrize("label", ["A,B", 'A"<B', "", "1A", "A B", "A-B", "\u00c5"])
+    def test_relation_label_must_be_identifier(self, label):
+        # the label is written unquoted into the edges CSV, DOT and Cypher
+        with pytest.raises(RuleError, match="must match"):
+            EdgeRule(Predicate("output", "=", 0), Predicate("weight", ">=", 0.5),
+                     relation_label=label)
+
+    @pytest.mark.parametrize("label", ["OUTPUT_WEIGHT", "HUB", "LINKS", "E", "F", "_x9"])
+    def test_identifier_labels_accepted(self, label):
+        rule = EdgeRule(Predicate("output", "=", 0), Predicate("weight", ">=", 0.5),
+                        relation_label=label)
+        g = build_graph(make_hub_sample(4, 2), rule)
+        assert g.edges and {lab for _s, _d, lab in g.edges} == {label}
+        assert from_csv(to_nodes_csv(g), to_edges_csv(g)) == g
+
 
 class TestBuildGraph:
     def test_rule_matching_nothing(self):
@@ -546,6 +561,14 @@ class TestEdgesReader:
         with pytest.raises(ValueError) as err:
             from_csv(self.NODES, edges.encode("utf-8"))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("label", ['A"<B', "", "1A", "A B", "A;B"])
+    def test_label_that_is_not_an_identifier_names_its_line(self, label):
+        edges = f"src_id,dst_id,label\n0,1,E\n1,0,{label}\n".encode("utf-8")
+        with pytest.raises(ValueError) as err:
+            from_csv(self.NODES, edges)
+        assert str(err.value) == ("line 3: field 3 must be a label matching "
+                                  f"[A-Za-z_][A-Za-z0-9_]*, got {label!r}")
 
     def test_good_lines_read(self):
         g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")

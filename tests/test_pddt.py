@@ -1,11 +1,13 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffgraph import pddt as pddt_module
-from diffgraph.differential import brute_force_dp, dyadic_str
+from diffgraph.differential import (brute_force_dp, differential_weight, dyadic_str,
+                                    is_valid_differential)
 from diffgraph.pddt import (
     DiffNode,
     Pddt,
@@ -106,6 +108,35 @@ class TestBuild:
         top = 1 << 63
         t = build_pddt(PddtConfig(64, 1.0))
         assert t.triples() == {(0, 0, 0), (0, top, top), (top, 0, top), (top, top, 0)}
+
+
+@functools.lru_cache(maxsize=None)
+def valid_rows(n):
+    """Every valid (a, b, c, weight) at word size n, in (a, b, c) order."""
+    return [(a, b, c, differential_weight(a, b, c, n))
+            for a, b, c in itertools.product(range(1 << n), repeat=3)
+            if is_valid_differential(a, b, c, n)]
+
+
+# thresholds in (0, 1], with the powers of two, where 2^-weight == t
+thresholds = st.one_of(st.integers(0, 8).map(lambda k: 2.0 ** -k),
+                       st.floats(0, 1, exclude_min=True))
+
+
+class TestBuildProperties:
+    @settings(deadline=None)
+    @given(st.integers(1, 5), thresholds)
+    def test_rows_are_every_valid_triple_above_threshold(self, n, threshold):
+        t = build_pddt(PddtConfig(n, threshold))
+        rows = list(zip(t.a.tolist(), t.b.tolist(), t.c.tolist(), t.hw.tolist()))
+        assert rows == [row for row in valid_rows(n) if 2.0 ** -row[3] >= threshold]
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 12), st.one_of(st.integers(0, 3).map(lambda k: 2.0 ** -k),
+                                         st.floats(0.1, 1)))
+    def test_worker_counts_write_the_same_csv(self, n, threshold):
+        config = PddtConfig(n, threshold)
+        assert build_pddt(config, workers=1).to_csv() == build_pddt(config, workers=2).to_csv()
 
 
 class TestPartialDp:
