@@ -17,6 +17,7 @@ state may only take a next triple whose xor equals the state itself.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import random
@@ -61,6 +62,8 @@ class PddtConfig:
             raise ParameterError(f"threshold {self.p_threshold} outside (0, 1]")
         if not 1 <= self.word_size <= 64:
             raise ParameterError(f"word size {self.word_size} outside 1..64")
+        if self.max_elements < 1:
+            raise ParameterError(f"max_elements {self.max_elements} < 1")
 
     @property
     def max_weight(self) -> int:
@@ -156,13 +159,15 @@ class Pddt:
         threshold is the smallest dp present.  Rows are returned in
         (a, b, c) order.
         """
-        cols = decode_differential_csv(data)
-        a, b, c, hw = cols.a, cols.b, cols.c, cols.hw
-        if not _is_sorted(a, b, c):
-            order = np.lexsort((c, b, a))
-            a, b, c, hw = a[order], b[order], c[order], hw[order]
+        decoded = decode_differential_csv(data)
+        cols = [decoded.a, decoded.b, decoded.c, decoded.hw]
+        word_size = decoded.word_size
+        del decoded  # drops the ids column
+        if not _is_sorted(*cols[:3]):
+            _gather(cols, np.lexsort(cols[2::-1]))
+        hw = cols[3]
         p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
-        return cls(PddtConfig(cols.word_size, p_threshold), a, b, c, hw)
+        return cls(PddtConfig(word_size, p_threshold), *cols)
 
 
 # --- differential CSV codec -------------------------------------------
@@ -171,10 +176,12 @@ class Pddt:
 # shared by PDDT tables and graph node files: id in decimal, a, b, c as
 # 0x-prefixed lowercase hex zero-padded to ceil(n/4) nibbles, dp the
 # exact decimal of 2^-hw, hw in decimal.  Both work on whole columns with
-# numpy, a bounded number of rows or bytes at a time.
+# numpy, a bounded number of rows or bytes at a time, and hold the data
+# once: the writer fills one growing buffer, the reader columns allocated
+# for every line of the input.
 
-_WRITE_CHUNK_ROWS = 1 << 20
-_READ_CHUNK_BYTES = 16 << 20
+_WRITE_CHUNK_ROWS = 1 << 16
+_READ_CHUNK_BYTES = 1 << 20
 
 _MAX_HEX_DIGITS = 16   # a uint64 column
 _MAX_ID_DIGITS = 18    # fits int64
@@ -226,9 +233,10 @@ def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> by
     cols = [np.asarray(x, dtype=np.uint64) for x in (a, b, c)]
     hw = np.asarray(hw, dtype=np.uint8)
     digits = -(-word_size // 4)
-    out = [(header + "\n").encode("ascii")]
+    out = io.BytesIO()
+    out.write((header + "\n").encode("ascii"))
     if len(ids) == 0:
-        return out[0]
+        return out.getvalue()
     if int(ids.min()) < 0:
         raise ParameterError("row ids must be non-negative")
     for x in cols:
@@ -267,8 +275,8 @@ def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> by
         w = hw[lo:lo + rows]
         line[:rows, tail_start:] = tail_bytes[w]
         keep[:rows, tail_start:] = np.arange(tail_width) < tail_len[w][:, None]
-        out.append(line[:rows][keep[:rows]])
-    return b"".join(out)
+        out.write(line[:rows][keep[:rows]])
+    return out.getvalue()  # the buffer itself, not a copy
 
 
 def decode_differential_csv(data: bytes) -> DifferentialColumns:
@@ -280,20 +288,25 @@ def decode_differential_csv(data: bytes) -> DifferentialColumns:
     1 to 16 digits and a decimal hw from 0 to 255; dp is not read.  Any
     other line raises ValueError naming its 1-based line number.
     """
-    parts = []
-    lines_before = pos = 0
+    # one row at most per line; the columns are filled chunk by chunk
+    capacity = data.count(b"\n") + 1
+    out = [np.empty(capacity, dtype=t)
+           for t in (np.int64, np.uint64, np.uint64, np.uint64, np.uint8)]
+    rows = lines_before = pos = 0
+    word_size = 4
     while True:
         end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
         end = len(data) if end < 0 else end + 1
         cols, lines = _decode_chunk(np.frombuffer(data, np.uint8, end - pos, pos), lines_before)
-        parts.append(cols)
+        for column, part in zip(out, cols[:5]):
+            column[rows:rows + len(part)] = part
+        rows += len(cols.ids)
+        word_size = max(word_size, cols.word_size)
         lines_before += lines
         pos = end
         if pos >= len(data):
             break
-    return DifferentialColumns(
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("ids", "a", "b", "c", "hw")),
-        max(4, *(p.word_size for p in parts)))
+    return DifferentialColumns(*(column[:rows] for column in out), word_size)
 
 
 def _decode_chunk(chunk: np.ndarray, lines_before: int):
@@ -478,11 +491,19 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
             fragments = list(pool.map(lambda r: _build_branch(r, config), roots))
     else:
         fragments = [_build_branch(r, config) for r in roots]
-    a, b, c, hw = map(np.concatenate, zip(*fragments))
-    if len(a) > config.max_elements:
-        raise PddtOverflowError(len(a), config.max_elements)
-    order = np.lexsort((c, b, a))
-    return Pddt(config, a[order], b[order], c[order], hw[order])
+    cols = [np.concatenate(col) for col in zip(*fragments)]
+    del fragments
+    if len(cols[0]) > config.max_elements:
+        raise PddtOverflowError(len(cols[0]), config.max_elements)
+    _gather(cols, np.lexsort(cols[2::-1]))
+    return Pddt(config, *cols)
+
+
+def _gather(cols: list, order: np.ndarray) -> None:
+    """Reorder each column in place in the list, one at a time, so that
+    only one column's old copy is alive beside the others."""
+    for k, col in enumerate(cols):
+        cols[k] = col[order]
 
 
 def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:

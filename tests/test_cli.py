@@ -95,6 +95,14 @@ class TestPddtCommands:
         assert capsys.readouterr().err == "error: word size 65 outside 1..64\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_elements", [0, -3])
+    def test_max_elements_below_one_is_runtime_error(self, tmp_path, capsys, max_elements):
+        out = tmp_path / "t.csv"
+        assert run(tmp_path, "pddt", "build", "--n", 8, "--threshold", 0.1,
+                   "--max-elements", max_elements, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: max_elements {max_elements} < 1\n"
+        assert not out.exists()
+
     def test_64_bit_words_build(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert run(tmp_path, "pddt", "build", "--n", 64, "--threshold", 1.0, "--out", out) == 0

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,3 +340,43 @@ class TestCodec:
         with pytest.raises(ValueError) as err:
             Pddt.from_csv(data)
         assert str(err.value).startswith(f"line 5: {message}")
+
+
+def traced_peak(call):
+    """The result of call() and the peak bytes traced while it ran; numpy
+    reports its buffers to tracemalloc, so the figure repeats exactly."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def column_bytes(table):
+    return sum(getattr(table, col).nbytes for col in ("a", "b", "c", "hw"))
+
+
+class TestMemory:
+    """Each stage holds the table about once: peak traced memory over the
+    size of what the stage returns, at n=16, t=0.1 (408,604 rows)."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_pddt(PddtConfig(16, 0.1))
+
+    def test_to_csv_holds_one_buffer(self, table):
+        data, peak = traced_peak(table.to_csv)
+        assert isinstance(data, bytes)
+        assert peak < 2.5 * len(data)
+
+    def test_from_csv_holds_its_columns_once(self, table):
+        data = table.to_csv()
+        back, peak = traced_peak(lambda: Pddt.from_csv(data))
+        ids_bytes = 8 * len(back)
+        assert peak < 2.5 * (column_bytes(back) + ids_bytes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_merges_without_copies(self, workers):
+        built, peak = traced_peak(lambda: build_pddt(PddtConfig(16, 0.1), workers=workers))
+        assert len(built) == 408_604
+        assert peak < 3.0 * column_bytes(built)
