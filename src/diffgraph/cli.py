@@ -37,11 +37,15 @@ def _parse_predicate(text: str) -> graphmod.Predicate:
     'output=0x1c00'; VALUE is an int in hex after 0x or in decimal, else a float."""
     for op in ("<=", ">=", "==", "="):
         if op in text:
-            name, _, value = text.partition(op)
+            name, _, field = text.partition(op)
             try:
-                value = int(value, 16 if value.strip()[:2].lower() == "0x" else 10)
+                value = int(field, 16 if field.strip()[:2].lower() == "0x" else 10)
             except ValueError:
-                value = float(value)
+                try:
+                    value = float(field)
+                except ValueError:
+                    raise ParameterError(
+                        f"cannot parse value {field!r} in predicate {text!r}") from None
             return graphmod.Predicate(name.strip(), op, value)
     raise ParameterError(f"cannot parse predicate {text!r}; expected FIELD<=|>=|=VALUE")
 

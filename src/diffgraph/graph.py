@@ -322,13 +322,17 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
-    """Rebuild a graph from its nodes+edges CSV export; a malformed line
-    raises ValueError naming its 1-based line number."""
+    """Rebuild a graph from its nodes+edges CSV export.
+
+    Both files follow one line rule: a line ends at '\\n' and one '\\r'
+    before it is dropped; nothing else is stripped.  A malformed line
+    raises ValueError naming its 1-based line number.
+    """
     columns = decode_differential_csv(nodes_csv)
     edges = []
     labels = set()  # labels already checked
-    for number, line in enumerate(edges_csv.decode("utf-8").splitlines(), 1):
-        line = line.strip()
+    for number, line in enumerate(edges_csv.decode("utf-8").split("\n"), 1):
+        line = line.removesuffix("\r")
         if not line or line.startswith("#") or line.startswith("src_id,"):
             continue
         fields = line.split(",")

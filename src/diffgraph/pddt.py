@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import io
 import logging
-import os
 import random
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product, starmap
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -239,6 +238,8 @@ def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> by
         return out.getvalue()
     if int(ids.min()) < 0:
         raise ParameterError("row ids must be non-negative")
+    if int(ids.max()) >= 10 ** _MAX_ID_DIGITS:
+        raise ParameterError(f"row id {int(ids.max())} has more than {_MAX_ID_DIGITS} digits")
     for x in cols:
         if int(x.max()) >> word_size:
             raise ParameterError(f"value {int(x.max()):#x} does not fit in {word_size} bits")
@@ -453,15 +454,8 @@ def _expand_level(frontier, bit: int, max_weight: int):
     return tuple(map(np.concatenate, zip(*children)))
 
 
-def _build_branch(root: Tuple[int, int, int], config: PddtConfig):
-    """Expand one depth-1 branch over bit positions 1..n-1."""
-    frontier = (
-        np.array([root[0]], dtype=np.uint64),
-        np.array([root[1]], dtype=np.uint64),
-        np.array([root[2]], dtype=np.uint64),
-        np.zeros(1, dtype=np.uint16),
-        np.array([_EQ0 if root == (0, 0, 0) else _NEQ], dtype=np.uint8),
-    )
+def _build_branch(frontier, config: PddtConfig):
+    """Expand a frontier of bit-0 prefixes over bit positions 1..n-1."""
     for bit in range(1, config.word_size):
         frontier = _expand_level(frontier, bit, config.max_weight)
         if len(frontier[0]) > config.max_elements:
@@ -470,27 +464,28 @@ def _build_branch(root: Tuple[int, int, int], config: PddtConfig):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count from the argument; None or 0 means the CPU count."""
-    if not workers:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+    """Worker count from the argument; None or 0 means 1, the calling thread."""
+    return max(1, workers or 1)
 
 
 def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     """Build the full PDDT for the configured word size and threshold.
 
-    The four bit-0 branches satisfying the LSB parity constraint are
-    expanded independently (optionally in parallel) and merged in fixed
-    order, so the result is identical for any worker count.
+    Bit 0 is the empty prefix's level: all-equal at 0, it takes the four
+    weightless triples with a ^ b ^ c = 0.  Each is expanded on its own
+    (in threads when workers > 1) and merged in fixed order, so the
+    result is identical for any worker count.
     """
-    # bit 0 carries no weight and must satisfy a^b^c = 0
-    roots = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    zero = np.zeros(1, dtype=np.uint64)
+    empty = (zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8))
+    level = _expand_level(empty, 0, config.max_weight)
+    branches = [tuple(col[k:k + 1] for col in level) for k in range(len(level[0]))]
     nworkers = resolve_workers(workers)
     if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=min(nworkers, len(roots))) as pool:
-            fragments = list(pool.map(lambda r: _build_branch(r, config), roots))
+        with ThreadPoolExecutor(max_workers=min(nworkers, len(branches))) as pool:
+            fragments = list(pool.map(lambda b: _build_branch(b, config), branches))
     else:
-        fragments = [_build_branch(r, config) for r in roots]
+        fragments = [_build_branch(b, config) for b in branches]
     cols = [np.concatenate(col) for col in zip(*fragments)]
     del fragments
     if len(cols[0]) > config.max_elements:

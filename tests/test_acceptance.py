@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 import time
@@ -93,13 +94,18 @@ def test_criterion_3_monotonicity():
     assert time.perf_counter() - t0 < 60
 
 
-@criterion(4, "published element count 3,951,388 at threshold 0.1 (n=32)")
+@criterion(4, "published element count 3,951,388 at threshold 0.1 (n=32), "
+              "and the bytes of that table")
 def test_criterion_4_published_count():
     t0 = time.perf_counter()
-    count_32 = len(build_pddt(PddtConfig(32, 0.1)))
+    table = build_pddt(PddtConfig(32, 0.1))
+    count_32 = len(table)
+    digest_32 = hashlib.sha256(table.to_csv()).hexdigest()
+    del table
     count_16 = len(build_pddt(PddtConfig(16, 0.1)))
     print(f"  threshold 0.1 counts: n=32 -> {count_32}, n=16 probe -> {count_16}")
     assert count_32 == 3_951_388
+    assert digest_32 == "1f6e78320340efe58704d76b03e9742f9f65db1eb9a5bf4f680f92e7bae0d7d3"
     assert time.perf_counter() - t0 < 600
 
 

@@ -179,6 +179,20 @@ class TestPipeline:
                    "--nodes-out", tmp_path / "n.csv", "--edges-out", tmp_path / "e.csv") == 0
         assert "graph:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("predicate, value", [("output=abc", "'abc'"), ("output=", "''")])
+    def test_unparsable_predicate_value_is_runtime_error(self, tmp_path, capsys, predicate, value):
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        capsys.readouterr()
+        assert run(tmp_path, "graph", "build", "--input", table,
+                   "--source-predicate", predicate, "--target-predicate", "hw=0",
+                   "--nodes-out", nodes, "--edges-out", edges) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: cannot parse value {value} "
+                                f"in predicate '{predicate}'\n")
+        assert captured.out == ""
+        assert not nodes.exists() and not edges.exists()
+
     def test_hex_predicate_value_equals_decimal(self, tmp_path):
         table = tmp_path / "t.csv"
         run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)

@@ -528,6 +528,17 @@ class TestExports:
         with pytest.raises(ParameterError, match="does not fit in 4 bits"):
             export_graph(g, fmt)
 
+    def test_id_the_reader_refuses_is_not_written(self):
+        g = DiffGraph(node_columns([DiffNode(10**18, 0, 0, 0, 1.0, 0)], 4), [])
+        with pytest.raises(ParameterError, match="row id 1000000000000000000 has more than 18"):
+            to_nodes_csv(g)
+
+    def test_largest_id_round_trips(self):
+        g = DiffGraph(node_columns([DiffNode(10**18 - 1, 0x5, 0x3, 0x6, 0.5, 1)], 4), [])
+        back = from_csv(to_nodes_csv(g), b"")
+        assert back == g
+        assert back.nodes == [DiffNode(10**18 - 1, 0x5, 0x3, 0x6, 0.5, 1)]
+
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_value_within_hex_width_but_wider_than_word_size_rejected(self, fmt):
         g = DiffGraph(node_columns([DiffNode(0, 0xff, 0, 0, 1.0, 0)], 5), [])
@@ -537,6 +548,9 @@ class TestExports:
     def test_unknown_format(self):
         with pytest.raises(ParameterError):
             export_graph(make_two_node_graph(), "gexf")
+
+
+LABEL_RULE = "must be a label matching [A-Za-z_][A-Za-z0-9_]*"
 
 
 class TestEdgesReader:
@@ -556,6 +570,21 @@ class TestEdgesReader:
                      id="superscript"),
         pytest.param("src_id,dst_id,label\n0,1,E\n,1,E",
                      "line 3: field 1 must be a decimal id, got ''", id="empty"),
+        # a line ends at a newline alone: no other line break moves the count
+        pytest.param("# note\x0c\n1,x,E\n", "line 2: field 2 must be a decimal id, got 'x'",
+                     id="form-feed"),
+        pytest.param("# note\x1c\n1,x,E\n", "line 2: field 2 must be a decimal id, got 'x'",
+                     id="file-separator"),
+        pytest.param("# note\u0085\n1,x,E\n", "line 2: field 2 must be a decimal id, got 'x'",
+                     id="next-line"),
+        pytest.param("0,1,E\x0c\n1,x,E\n", f"line 1: field 3 {LABEL_RULE}, got 'E\\x0c'",
+                     id="form-feed-in-label"),
+        # and only one CR before it is dropped, nothing else
+        pytest.param("0,1,E \n", f"line 1: field 3 {LABEL_RULE}, got 'E '", id="trailing-space"),
+        pytest.param("0,1,E\t\n", f"line 1: field 3 {LABEL_RULE}, got 'E\\t'", id="trailing-tab"),
+        pytest.param("0,1,E\r\r\n", f"line 1: field 3 {LABEL_RULE}, got 'E\\r'", id="two-crs"),
+        pytest.param(" 0,1,E\n", "line 1: field 1 must be a decimal id, got ' 0'",
+                     id="leading-space"),
     ])
     def test_bad_line_names_its_number(self, edges, message):
         with pytest.raises(ValueError) as err:
@@ -567,8 +596,7 @@ class TestEdgesReader:
         edges = f"src_id,dst_id,label\n0,1,E\n1,0,{label}\n".encode("utf-8")
         with pytest.raises(ValueError) as err:
             from_csv(self.NODES, edges)
-        assert str(err.value) == ("line 3: field 3 must be a label matching "
-                                  f"[A-Za-z_][A-Za-z0-9_]*, got {label!r}")
+        assert str(err.value) == f"line 3: field 3 {LABEL_RULE}, got {label!r}"
 
     def test_good_lines_read(self):
         g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")

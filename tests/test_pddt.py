@@ -84,6 +84,19 @@ class TestBuild:
         csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (1, 4)}
         assert len(csvs) == 1
 
+    def test_default_build_starts_no_thread_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise RuntimeError("thread pool started")
+        monkeypatch.setattr(pddt_module, "ThreadPoolExecutor", no_pool)
+        default = build_pddt(PddtConfig(8, 0.1))
+        assert default.to_csv() == build_pddt(PddtConfig(8, 0.1), workers=1).to_csv()
+        with pytest.raises(RuntimeError, match="thread pool started"):
+            build_pddt(PddtConfig(8, 0.1), workers=2)
+
+    def test_resolve_workers_defaults_to_one(self):
+        assert pddt_module.resolve_workers(None) == pddt_module.resolve_workers(0) == 1
+        assert pddt_module.resolve_workers(3) == 3
+
     def test_repeat_builds_identical(self):
         cfg = PddtConfig(8, 0.25)
         assert build_pddt(cfg).to_csv() == build_pddt(cfg).to_csv()
