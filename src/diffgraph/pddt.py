@@ -21,7 +21,6 @@ import io
 import logging
 import random
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product, starmap
 from typing import Iterator, List, NamedTuple, Optional
 
@@ -464,7 +463,11 @@ def _build_branch(frontier, config: PddtConfig):
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count from the argument; None or 0 means 1, the calling thread."""
+    """Worker count from the argument; None or 0 means 1.
+
+    The builder runs on the calling thread whatever this returns; the
+    function stays only because the benchmark harness reports it.
+    """
     return max(1, workers or 1)
 
 
@@ -473,19 +476,15 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
 
     Bit 0 is the empty prefix's level: all-equal at 0, it takes the four
     weightless triples with a ^ b ^ c = 0.  Each is expanded on its own
-    (in threads when workers > 1) and merged in fixed order, so the
-    result is identical for any worker count.
+    and merged in fixed order.  The build runs on the calling thread;
+    `workers` is accepted and ignored, kept only for the benchmark
+    harness, which passes it.
     """
     zero = np.zeros(1, dtype=np.uint64)
     empty = (zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8))
     level = _expand_level(empty, 0, config.max_weight)
-    branches = [tuple(col[k:k + 1] for col in level) for k in range(len(level[0]))]
-    nworkers = resolve_workers(workers)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=min(nworkers, len(branches))) as pool:
-            fragments = list(pool.map(lambda b: _build_branch(b, config), branches))
-    else:
-        fragments = [_build_branch(b, config) for b in branches]
+    fragments = [_build_branch(tuple(col[k:k + 1] for col in level), config)
+                 for k in range(len(level[0]))]
     cols = [np.concatenate(col) for col in zip(*fragments)]
     del fragments
     if len(cols[0]) > config.max_elements:

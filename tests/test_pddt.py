@@ -1,5 +1,6 @@
 import functools
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -84,14 +85,12 @@ class TestBuild:
         csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (1, 4)}
         assert len(csvs) == 1
 
-    def test_default_build_starts_no_thread_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("thread pool started")
-        monkeypatch.setattr(pddt_module, "ThreadPoolExecutor", no_pool)
-        default = build_pddt(PddtConfig(8, 0.1))
-        assert default.to_csv() == build_pddt(PddtConfig(8, 0.1), workers=1).to_csv()
-        with pytest.raises(RuntimeError, match="thread pool started"):
-            build_pddt(PddtConfig(8, 0.1), workers=2)
+    def test_build_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise RuntimeError("thread started")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (None, 1, 4)}
+        assert len(csvs) == 1
 
     def test_resolve_workers_defaults_to_one(self):
         assert pddt_module.resolve_workers(None) == pddt_module.resolve_workers(0) == 1
