@@ -1,8 +1,9 @@
 """Monte Carlo search baseline and comparison against graph-guided search.
 
-Playouts are uniform random descents through the directed graph; each
-playout seeds its own RNG from (seed, playout index), so reports are
-reproducible and independent of execution order.
+Playouts are uniform random descents through the directed graph. One
+search draws all its playouts, in order, from a single RNG seeded with
+the string "mcs:{seed}", so a report depends only on the graph, the start
+and the config, and is the same in every process.
 """
 
 from __future__ import annotations
@@ -106,7 +107,12 @@ def _candidate(graph: DiffGraph, path: List[int],
 
 
 def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
-    """Seeded flat Monte Carlo search; returns the best-so-far path."""
+    """Seeded flat Monte Carlo search; returns the best-so-far path.
+
+    Playout i continues the stream of `random.Random(f"mcs:{seed}")` where
+    playout i - 1 left it, so the first k playouts of a search are the
+    same whatever `config.playouts` is.
+    """
     for node_id, name in ((start, "start"), (config.target_node, "target")):
         if node_id is not None and node_id not in graph.dp:
             raise ParameterError(f"{name} node {node_id} not in graph")
@@ -115,8 +121,8 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     trace: List[Optional[PathResult]] = []
     walk_totals: List[float] = []
     steps = 0
-    for i in range(config.playouts):
-        rng = random.Random(f"mcs:{config.seed}:{i}")
+    rng = random.Random(f"mcs:{config.seed}")
+    for _ in range(config.playouts):
         path, total = _playout(graph, start, rng, config.max_depth)
         steps += len(path) - 1
         walk_totals.append(total)

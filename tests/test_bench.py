@@ -1,4 +1,7 @@
+import math
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,8 +34,8 @@ def reference_mcs(graph, start, config):
         successors[src].append(dst)
     dp_of = {nd.node_id: nd.dp for nd in graph.nodes}
     best, trace, walk_totals = None, [], []
+    rng = random.Random(f"mcs:{config.seed}")
     for i in range(config.playouts):
-        rng = random.Random(f"mcs:{config.seed}:{i}")
         path, visited, total = [start], {start}, dp_of[start]
         while len(path) - 1 < config.max_depth:
             options = [v for v in sorted(set(successors[path[-1]])) if v not in visited]
@@ -52,6 +55,45 @@ def reference_mcs(graph, start, config):
                 best = cand
         trace.append(best)
     return best, trace, walk_totals
+
+
+def exact_hit_probability(graph, start, target, max_depth):
+    """Chance that one uniform playout from start reaches target in 1 to
+    max_depth hops, by recursion over (node, visited set)."""
+    successors = {u: set() for u in graph.dp}
+    for src, dst, _label in graph.edges:
+        successors[src].add(dst)
+
+    @lru_cache(maxsize=None)
+    def hit(node, visited):
+        if node == target and len(visited) > 1:
+            return Fraction(1)
+        options = successors[node] - visited
+        if len(visited) - 1 == max_depth or not options:
+            return Fraction(0)
+        return sum(hit(v, visited | {v}) for v in options) / len(options)
+
+    return hit(start, frozenset([start]))
+
+
+@st.composite
+def dense_digraphs(draw, max_nodes=7):
+    """2 to max_nodes nodes, each ordered pair (self-loops included) an
+    edge with a drawn flag; denser than `digraphs`, whose short edge lists
+    leave most playouts a hit chance of 0 or 1."""
+    n = draw(st.integers(2, max_nodes))
+    ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    pairs = [(u, v) for u in ids for v in ids]
+    edges = [(u, v, "E") for (u, v), flag in zip(pairs, flags) if flag]
+    return DiffGraph(node_columns([DiffNode(i, i, i, 0, 1.0, 0) for i in ids], 4), edges)
+
+
+def complete_bipartite(s_ids, t_ids):
+    """Every s in S has an edge to every t in T; S and T are disjoint."""
+    nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in (*s_ids, *t_ids)]
+    edges = [(s, t, "E") for s in s_ids for t in t_ids]
+    return DiffGraph(node_columns(nodes, 8), edges)
 
 
 class TestFixture:
@@ -136,6 +178,59 @@ class TestMcs:
             report = mcs_search(hub_graph, start, cfg)
             got = (report.best_path, report.trace, report.walk_totals)
             assert got == reference_mcs(hub_graph, start, cfg)
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("playouts", [1, 10, 1000])
+    def test_one_rng_per_search(self, monkeypatch, playouts):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(bench.random, "Random", CountingRandom)
+        mcs_search(build_fig_tree_fixture(), 0, McsConfig(playouts=playouts, seed=6))
+        assert built == [("mcs:6",)]
+
+    @settings(deadline=None)
+    @given(digraphs(), st.data(), st.integers(2, 40), st.integers(0, 2 ** 31),
+           st.integers(1, 6))
+    def test_shorter_search_is_a_prefix(self, g, data, playouts, seed, max_depth):
+        ids = [nd.node_id for nd in g.nodes]
+        start = data.draw(st.sampled_from(ids))
+        target = data.draw(st.none() | st.sampled_from(ids))
+        k = data.draw(st.integers(1, playouts - 1))
+        full = mcs_search(g, start, McsConfig(playouts, seed, max_depth, target))
+        prefix = mcs_search(g, start, McsConfig(k, seed, max_depth, target))
+        assert prefix.trace == full.trace[:k]
+        assert prefix.walk_totals == full.walk_totals[:k]
+
+
+class TestHitRate:
+    @settings(deadline=None, max_examples=40)
+    @given(dense_digraphs(), st.data(), st.integers(0, 2 ** 31), st.integers(1, 6))
+    def test_empirical_rate_matches_exact(self, g, data, seed, max_depth):
+        ids = [nd.node_id for nd in g.nodes]
+        start = data.draw(st.sampled_from(ids))
+        target = data.draw(st.sampled_from([i for i in ids if i != start]))
+        p = exact_hit_probability(g, start, target, max_depth)
+        rng, n = random.Random(seed), 4000
+        hits = sum(target in bench._playout(g, start, rng, max_depth)[0][1:]
+                   for _ in range(n))
+        assert abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1 / n
+
+    @pytest.mark.parametrize("n_s,n_t", [(1, 1), (2, 3), (3, 5), (4, 2)])
+    @pytest.mark.parametrize("max_depth", [1, 4])
+    def test_complete_bipartite_closed_form(self, n_s, n_t, max_depth):
+        s_ids, t_ids = range(n_s), range(n_s, n_s + n_t)
+        g = complete_bipartite(s_ids, t_ids)
+        for s in s_ids:
+            for t in t_ids:
+                assert exact_hit_probability(g, s, t, max_depth) == Fraction(1, n_t)
+            for other in s_ids:
+                assert exact_hit_probability(g, s, other, max_depth) == 0
 
 
 class TestWorkCounters:

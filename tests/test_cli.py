@@ -312,7 +312,7 @@ class TestGolden:
         "g.cypher": "4c97312e5b013232db4037f75b697f440c11b3bb28107e0d9af92dbaac7320f5",
         "stats": "fed280b245df09c93fad201e0c5a58225ffa7e24fdfe3a1ad9bc5eb949b3dd4a",
         "paths": "1025f2681dcae08044277b94fdd7182e944d46a5af59b048537a71d880d77aeb",
-        "compare": "fcbbb43d66e80dcc97a6583e3e83a30facf056133ce7e7aa6fd54b113fa945c5",
+        "compare": "8d5e0bdfa9e7ee2d91c72df0274202de0c1cfa06fa79702802f61f41a02c30c0",
     }
 
     def test_chain_bytes(self, tmp_path, capsys):
