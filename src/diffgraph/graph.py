@@ -12,14 +12,15 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DP_OF_HW, DifferentialColumns, DiffNode, Pddt, decode_differential_csv,
-                   encode_differential_csv, make_nodes)
+from .pddt import (DP_OF_HW, Dec, DifferentialColumns, DiffNode, Hex, Pddt,
+                   Lines, decode_differential_csv, differential_lines, encode_differential_csv,
+                   join_lines, make_nodes, split_lines)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -316,86 +317,119 @@ def to_nodes_csv(graph: DiffGraph) -> bytes:
     return encode_differential_csv(_NODES_HEADER, *graph.columns)
 
 
+# An edge line is (pieces, tail): Dec(0) is the source id, Dec(1) the
+# target id, and the text after the target depends on the label alone.
+_EDGES_ROW = ((Dec(0), b",", Dec(1)), ",{label}\n")
+
+
+def _edge_lines(pieces, tail: str, edges: List[Tuple[int, int, str]]) -> Lines:
+    """One line per edge, in edge order; each label's tail is formatted once."""
+    def column(k):
+        return map(operator.itemgetter(k), edges)
+
+    index = {label: k for k, label in enumerate(dict.fromkeys(column(2)))}
+    return Lines(pieces, [np.fromiter(column(k), np.int64, len(edges)) for k in (0, 1)],
+                 [tail.format(label=label).encode("utf-8") for label in index],
+                 np.fromiter(map(index.__getitem__, column(2)), np.intp, len(edges)))
+
+
 def to_edges_csv(graph: DiffGraph) -> bytes:
-    lines = chain(["src_id,dst_id,label"], starmap("{0},{1},{2}".format, graph.edges))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return join_lines([b"src_id,dst_id,label\n", _edge_lines(*_EDGES_ROW, graph.edges)])
+
+
+# byte -> whether it may start, or follow the start of, a relation label
+_LABEL_HEAD = np.array([_LABEL.fullmatch(chr(x)) is not None for x in range(256)])
+_LABEL_TAIL = np.array([_LABEL.fullmatch("_" + chr(x)) is not None for x in range(256)])
+
+
+def _read_edges(data: bytes) -> List[Tuple[int, int, str]]:
+    """The (src, dst, label) rows of an edges CSV, in file order."""
+    src, dst, codes = [], [], []
+    names: Dict[bytes, int] = {}  # label -> its index, in first-seen order
+    for lines in split_lines(data, b"src_id,", 3):
+        src.append(lines.ids(0, "a decimal id"))
+        dst.append(lines.ids(1, "a decimal id"))
+        # labels of one length are rows of one byte matrix
+        start, length = lines.starts[2], lines.ends[2] - lines.starts[2]
+        bad = length == 0
+        code = np.zeros(len(length), dtype=np.intp)
+        for size in np.unique(length[~bad]).tolist():
+            rows = np.flatnonzero(length == size)
+            text = np.lib.stride_tricks.sliding_window_view(lines.buf, size)[start[rows]]
+            bad[rows] = ~_LABEL_HEAD[text[:, 0]] | ~_LABEL_TAIL[text[:, 1:]].all(axis=1)
+            distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
+            found = [names.setdefault(bytes(label), len(names)) for label in distinct]
+            code[rows] = np.array(found)[inverse]
+        lines.check(bad, 2, f"a label matching {_LABEL.pattern}")
+        lines.raise_first()
+        codes.append(code)
+    labels = [name.decode("ascii") for name in names]
+    return list(zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist(),
+                    map(labels.__getitem__, np.concatenate(codes).tolist())))
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     """Rebuild a graph from its nodes+edges CSV export.
 
-    Both files follow one line rule: a line ends at '\\n' and one '\\r'
-    before it is dropped; nothing else is stripped.  A malformed line
-    raises ValueError naming its 1-based line number.
+    Both files are read as bytes with one line rule: a line ends at '\\n'
+    and one '\\r' before it is dropped; nothing else is stripped. Blank
+    lines, '#' lines and header lines are skipped. An edges line is
+    `src_id,dst_id,label`: two decimal ids of at most 18 digits and an
+    identifier label. A malformed line raises ValueError naming its
+    1-based line number.
     """
-    columns = decode_differential_csv(nodes_csv)
-    edges = []
-    labels = set()  # labels already checked
-    for number, line in enumerate(edges_csv.decode("utf-8").split("\n"), 1):
-        line = line.removesuffix("\r")
-        if not line or line.startswith("#") or line.startswith("src_id,"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"line {number}: expected 3 comma-separated fields, got {len(fields)}")
-        src, dst, label = fields
-        for k, text in ((1, src), (2, dst)):
-            if not (text.isascii() and text.isdigit()):
-                raise ValueError(f"line {number}: field {k} must be a decimal id, got {text!r}")
-        if label not in labels:
-            if not _LABEL.fullmatch(label):
-                raise ValueError(f"line {number}: field 3 must be a label matching "
-                                 f"{_LABEL.pattern}, got {label!r}")
-            labels.add(label)
-        edges.append((int(src), int(dst), label))
-    return DiffGraph(columns, edges)
+    return DiffGraph(decode_differential_csv(nodes_csv), _read_edges(edges_csv))
 
 
-# A text export is (head lines, node line, edge line, tail lines). A node line
-# is filled with the six fields of the node's nodes-CSV row, so the codec alone
-# decides hex width and dyadic strings; an edge line with (src, dst, label).
+# A text export is (head, node line, edge line, tail); head and tail are
+# whole lines. A node line is (pieces, tail) for differential_lines,
+# so the codec alone decides hex width and dyadic strings, and the text
+# after the output word depends on hw alone; an edge line is as _EDGES_ROW.
 _GRAPHML = (
-    ('<?xml version="1.0" encoding="UTF-8"?>',
-     '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-     '  <key id="input_a" for="node" attr.name="input_a" attr.type="string"/>',
-     '  <key id="input_b" for="node" attr.name="input_b" attr.type="string"/>',
-     '  <key id="output" for="node" attr.name="output" attr.type="string"/>',
-     '  <key id="weight" for="node" attr.name="weight" attr.type="double"/>',
-     '  <key id="hw" for="node" attr.name="hw" attr.type="int"/>',
-     '  <key id="label" for="edge" attr.name="label" attr.type="string"/>',
-     '  <graph id="G" edgedefault="directed">'),
-    '    <node id="n{0}">\n'
-    '      <data key="input_a">{1}</data>\n'
-    '      <data key="input_b">{2}</data>\n'
-    '      <data key="output">{3}</data>\n'
-    '      <data key="weight">{4}</data>\n'
-    '      <data key="hw">{5}</data>\n'
-    '    </node>',
-    '    <edge source="n{0}" target="n{1}">\n'
-    '      <data key="label">{2}</data>\n'
-    '    </edge>',
-    ('  </graph>', '</graphml>'),
+    b'<?xml version="1.0" encoding="UTF-8"?>\n'
+    b'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+    b'  <key id="input_a" for="node" attr.name="input_a" attr.type="string"/>\n'
+    b'  <key id="input_b" for="node" attr.name="input_b" attr.type="string"/>\n'
+    b'  <key id="output" for="node" attr.name="output" attr.type="string"/>\n'
+    b'  <key id="weight" for="node" attr.name="weight" attr.type="double"/>\n'
+    b'  <key id="hw" for="node" attr.name="hw" attr.type="int"/>\n'
+    b'  <key id="label" for="edge" attr.name="label" attr.type="string"/>\n'
+    b'  <graph id="G" edgedefault="directed">\n',
+    ((b'    <node id="n', Dec(0), b'">\n'
+      b'      <data key="input_a">0x', Hex(1), b'</data>\n'
+      b'      <data key="input_b">0x', Hex(2), b'</data>\n'
+      b'      <data key="output">0x', Hex(3)),
+     '</data>\n'
+     '      <data key="weight">{dp}</data>\n'
+     '      <data key="hw">{hw}</data>\n'
+     '    </node>\n'),
+    ((b'    <edge source="n', Dec(0), b'" target="n', Dec(1)),
+     '">\n'
+     '      <data key="label">{label}</data>\n'
+     '    </edge>\n'),
+    b'  </graph>\n</graphml>\n',
 )
 
-_DOT = (("digraph differentials {",),
-        '  n{0} [label="{0}" input_a="{1}" input_b="{2}" output="{3}" weight="{4}" hw="{5}"];',
-        '  n{0} -> n{1} [label="{2}"];',
-        ("}",))
+_DOT = (b"digraph differentials {\n",
+        ((b"  n", Dec(0), b' [label="', Dec(0), b'" input_a="0x', Hex(1), b'" input_b="0x', Hex(2),
+          b'" output="0x', Hex(3)), '" weight="{dp}" hw="{hw}"];\n'),
+        ((b"  n", Dec(0), b" -> n", Dec(1)), ' [label="{label}"];\n'),
+        b"}\n")
 
-_CYPHER = ((),
-           "CREATE (:DIFFERENTIALS {{id: {0}, input_a: '{1}', input_b: '{2}', "
-           "output: '{3}', weight: {4}, hw: {5}}});",
-           "MATCH (a:DIFFERENTIALS {{id: {0}}}), (b:DIFFERENTIALS {{id: {1}}}) "
-           "CREATE (a)-[:{2}]->(b);",
-           ())
+_CYPHER = (b"",
+           ((b"CREATE (:DIFFERENTIALS {id: ", Dec(0), b", input_a: '0x", Hex(1),
+             b"', input_b: '0x", Hex(2), b"', output: '0x", Hex(3)),
+            "', weight: {dp}, hw: {hw}}});\n"),
+           ((b"MATCH (a:DIFFERENTIALS {id: ", Dec(0), b"}), (b:DIFFERENTIALS {id: ", Dec(1)),
+            "}}) CREATE (a)-[:{label}]->(b);\n"),
+           b"")
 
 
 def _render(graph: DiffGraph, template) -> bytes:
     head, node_line, edge_line, tail = template
-    rows = encode_differential_csv(_NODES_HEADER, *graph.columns).decode("ascii")
-    nodes = starmap(node_line.format, (row.split(",") for row in rows.split("\n")[1:-1]))
-    edges = starmap(edge_line.format, graph.edges)
-    return ("\n".join(chain(head, nodes, edges, tail)) + "\n").encode("utf-8")
+    data = join_lines([head, differential_lines(*node_line, *graph.columns),
+                       _edge_lines(*edge_line, graph.edges), tail])
+    return data or b"\n"  # a document of no lines is one empty line
 
 
 def to_graphml(graph: DiffGraph) -> bytes:

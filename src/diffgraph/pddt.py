@@ -168,17 +168,20 @@ class Pddt:
         return cls(PddtConfig(word_size, p_threshold), *cols)
 
 
-# --- differential CSV codec -------------------------------------------
+# --- line codec --------------------------------------------------------
 #
-# One writer and one reader for the six-column rows `id,a,b,c,dp,hw`
-# shared by PDDT tables and graph node files: id in decimal, a, b, c as
-# 0x-prefixed lowercase hex zero-padded to ceil(n/4) nibbles, dp the
-# exact decimal of 2^-hw, hw in decimal.  Both work on whole columns with
-# numpy, a bounded number of rows or bytes at a time, and hold the data
-# once: the writer fills one growing buffer, the reader columns allocated
-# for every line of the input.
+# One writer and one reader for every line-oriented artifact. The shared
+# differential row is `id,a,b,c,dp,hw`, used by PDDT tables and graph node
+# files: id in decimal, a, b, c as 0x-prefixed lowercase hex zero-padded
+# to ceil(n/4) nibbles, dp the exact decimal of 2^-hw, hw in decimal. The
+# graph module writes its edges file and exports, and reads its edges
+# file, with the same two pieces. Both work on whole columns with numpy,
+# a bounded number of rows or bytes at a time, and hold the data once:
+# the writer fills one buffer of the output's exact size, the readers
+# fill columns.
 
 _WRITE_CHUNK_ROWS = 1 << 16
+_WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
 _READ_CHUNK_BYTES = 1 << 20
 
 _MAX_HEX_DIGITS = 16   # a uint64 column
@@ -225,58 +228,226 @@ class DifferentialColumns(NamedTuple):
     word_size: int    # 4 bits per digit of the widest hex field, at least 4
 
 
+class Dec(NamedTuple):
+    """A line slot: a column of ids from 0 to 10^18 - 1, in decimal."""
+
+    column: int
+
+
+class Hex(NamedTuple):
+    """A line slot: a column of words, in lowercase hex zero-padded to the
+    word size's nibble count."""
+
+    column: int
+
+
+class Lines:
+    """One line per row: the pieces in order, then tails[codes[row]].
+
+    A piece is literal bytes or a Dec or Hex slot that reads its column of
+    `columns`; Hex values must fit in word_size bits. `size` is the bytes
+    the lines take. `write` lays each chunk of rows out as a fixed-width
+    byte matrix, and a keep mask drops the unused leading bytes of every
+    Dec slot and the unused end of every tail when the matrix is
+    flattened into the output.
+    """
+
+    def __init__(self, pieces, columns, tails, codes, word_size: int = 0):
+        self.columns = columns
+        self.codes = codes = np.asarray(codes)
+        self.size = 0
+        if len(codes) == 0:
+            return
+        widths = {}  # column -> bytes of its slots
+        for piece in pieces:
+            if isinstance(piece, bytes) or piece.column in widths:
+                continue
+            x = columns[piece.column]
+            if isinstance(piece, Dec):
+                if int(x.min()) < 0:
+                    raise ParameterError("row ids must be non-negative")
+                top = int(x.max())
+                if top >= 10 ** _MAX_ID_DIGITS:
+                    raise ParameterError(f"row id {top} has more than {_MAX_ID_DIGITS} digits")
+                widths[piece.column] = 2 * -(-len(str(top)) // 2)  # written two digits at a time
+            elif int(x.max()) >> word_size:
+                raise ParameterError(f"value {int(x.max()):#x} does not fit in {word_size} bits")
+            else:
+                widths[piece.column] = -(-word_size // 4)
+        self.slots, start = [], 0  # (piece, first byte, width) per piece
+        for piece in pieces:
+            width = len(piece) if isinstance(piece, bytes) else widths[piece.column]
+            self.slots.append((piece, start, width))
+            start += width
+            if isinstance(piece, Dec):  # an id of d digits fills d bytes of its slot
+                x = columns[piece.column]
+                digits = len(x) + sum(np.count_nonzero(x >= 10**k) for k in range(1, width))
+                self.size += digits - len(x) * width
+        self.tail_start = start
+        self.tail_bytes = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
+        for k, tail in enumerate(tails):
+            self.tail_bytes[k, :len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        self.tail_len = np.array([len(tail) for tail in tails])
+        tails_size = int(np.bincount(codes, minlength=len(tails)) @ self.tail_len)
+        self.size += len(codes) * start + tails_size
+
+    def write(self, out) -> None:
+        if self.size == 0:
+            return
+        codes, columns, tail_start = self.codes, self.columns, self.tail_start
+        tail_width = self.tail_bytes.shape[1]
+        step = max(1, min(_WRITE_CHUNK_ROWS, _WRITE_CHUNK_BYTES // (tail_start + tail_width)))
+        line = np.empty((min(len(codes), step), tail_start + tail_width), dtype=np.uint8)
+        keep = np.ones(line.shape, dtype=bool)
+        for piece, start, width in self.slots:
+            if isinstance(piece, bytes):
+                line[:, start:start + width] = np.frombuffer(piece, dtype=np.uint8)
+        for lo in range(0, len(codes), step):
+            rows = min(len(codes) - lo, step)
+            for piece, start, width in self.slots:
+                if isinstance(piece, bytes):
+                    continue
+                x = columns[piece.column][lo:lo + rows]
+                field = line[:rows, start:start + width]
+                if isinstance(piece, Dec):
+                    for k in range(0, width, 2):
+                        pair = _DEC_PAIRS[(x // 10**k) % 100].view(np.uint8).reshape(-1, 2)
+                        field[:, width - 2 - k:width - k] = pair
+                    digits = np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1
+                    keep[:rows, start:start + width] = np.arange(width) >= width - digits[:, None]
+                else:
+                    big_endian = x.astype(">u8").view(np.uint8).reshape(-1, 8)
+                    chars = _HEX_PAIRS[big_endian[:, 8 - -(-width // 2):]].view(np.uint8)
+                    field[:] = chars[:, -width:]
+            code = codes[lo:lo + rows]
+            line[:rows, tail_start:] = self.tail_bytes[code]
+            keep[:rows, tail_start:] = np.arange(tail_width) < self.tail_len[code][:, None]
+            out.write(line[:rows][keep[:rows]])
+
+
+def join_lines(parts) -> bytes:
+    """The parts, each bytes or Lines, in order. The output buffer is
+    allocated once at its final size and returned without a copy, so
+    no growing buffer leaves copies of itself behind."""
+    size = sum(len(part) if isinstance(part, bytes) else part.size for part in parts)
+    out = io.BytesIO()
+    if size:
+        out.seek(size - 1)
+        out.write(b"\0")
+        out.seek(0)
+    for part in parts:
+        if isinstance(part, bytes):
+            out.write(part)
+        else:
+            part.write(out)
+    if out.tell() != size:
+        raise RuntimeError(f"wrote {out.tell()} bytes of {size}")
+    return out.getvalue()  # the buffer itself, not a copy
+
+
+def differential_lines(pieces, tail: str, ids, a, b, c, hw, word_size: int) -> Lines:
+    """One line per row: the pieces, Dec(0) the id and Hex(1..3) the words
+    a, b, c, then `tail` formatted with the row's dp and hw."""
+    hw = np.asarray(hw, dtype=np.uint8)
+    tails = [tail.format(dp=dyadic_str(w), hw=w).encode("ascii")
+             for w in range(int(hw.max(initial=0)) + 1)]
+    columns = [np.asarray(ids, dtype=np.int64),
+               *(np.asarray(x, dtype=np.uint64) for x in (a, b, c))]
+    return Lines(pieces, columns, tails, hw, word_size)
+
+
+# the text after c depends on hw alone, so it is the tail
+_CSV_ROW = ((Dec(0), b",0x", Hex(1), b",0x", Hex(2), b",0x", Hex(3)), ",{dp},{hw}\n")
+
+
 def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> bytes:
     """The header line, then one `id,a,b,c,dp,hw` line per row."""
-    ids = np.asarray(ids, dtype=np.int64)
-    cols = [np.asarray(x, dtype=np.uint64) for x in (a, b, c)]
-    hw = np.asarray(hw, dtype=np.uint8)
-    digits = -(-word_size // 4)
-    out = io.BytesIO()
-    out.write((header + "\n").encode("ascii"))
-    if len(ids) == 0:
-        return out.getvalue()
-    if int(ids.min()) < 0:
-        raise ParameterError("row ids must be non-negative")
-    if int(ids.max()) >= 10 ** _MAX_ID_DIGITS:
-        raise ParameterError(f"row id {int(ids.max())} has more than {_MAX_ID_DIGITS} digits")
-    for x in cols:
-        if int(x.max()) >> word_size:
-            raise ParameterError(f"value {int(x.max()):#x} does not fit in {word_size} bits")
+    return join_lines([(header + "\n").encode("ascii"),
+                       differential_lines(*_CSV_ROW, ids, a, b, c, hw, word_size)])
 
-    id_width = 2 * -(-len(str(int(ids.max()))) // 2)  # written two digits at a time
-    tails = [f",{dyadic_str(w)},{w}\n".encode("ascii") for w in range(int(hw.max()) + 1)]
-    tail_width = max(len(t) for t in tails)
-    tail_bytes = np.zeros((len(tails), tail_width), dtype=np.uint8)
-    for w, t in enumerate(tails):
-        tail_bytes[w, :len(t)] = np.frombuffer(t, dtype=np.uint8)
-    tail_len = np.array([len(t) for t in tails])
-    hex_starts = [id_width + 3 + f * (3 + digits) for f in range(3)]
-    tail_start = id_width + 3 * (3 + digits)
 
-    # one fixed-width row per line; `keep` drops the unused id and tail
-    # columns when the matrix is flattened
-    line = np.empty((min(len(ids), _WRITE_CHUNK_ROWS), tail_start + tail_width), dtype=np.uint8)
-    keep = np.ones(line.shape, dtype=bool)
-    hex_bytes = -(-digits // 2)
-    for start in hex_starts:
-        line[:, start - 3:start] = np.frombuffer(b",0x", dtype=np.uint8)
-    for lo in range(0, len(ids), _WRITE_CHUNK_ROWS):
-        rows = min(len(ids) - lo, _WRITE_CHUNK_ROWS)
-        v = ids[lo:lo + rows]
-        for k in range(0, id_width, 2):
-            pair = _DEC_PAIRS[(v // 10**k) % 100].view(np.uint8).reshape(-1, 2)
-            line[:rows, id_width - 2 - k:id_width - k] = pair
-        id_digits = np.searchsorted(_POWERS_OF_TEN, v, side="right") + 1
-        keep[:rows, :id_width] = np.arange(id_width) >= id_width - id_digits[:, None]
-        for x, start in zip(cols, hex_starts):
-            big_endian = x[lo:lo + rows].astype(">u8").view(np.uint8).reshape(-1, 8)
-            chars = _HEX_PAIRS[big_endian[:, 8 - hex_bytes:]].view(np.uint8)
-            line[:rows, start:start + digits] = chars[:, -digits:]
-        w = hw[lo:lo + rows]
-        line[:rows, tail_start:] = tail_bytes[w]
-        keep[:rows, tail_start:] = np.arange(tail_width) < tail_len[w][:, None]
-        out.write(line[:rows][keep[:rows]])
-    return out.getvalue()  # the buffer itself, not a copy
+class Fields:
+    """The data lines of a run of whole lines, split at commas.
+
+    `starts[k]` and `ends[k]` bound field k of each line in `buf`, and
+    `line_no` gives each line's 1-based number in the file; `newlines`
+    counts the newlines of the run. The lines stop before the first line
+    that has another field count; `errors` then holds that line's fault,
+    and `check` adds the first line at which a field is bad, so that
+    `raise_first` reports the earliest line's fault.
+    """
+
+    def __init__(self, chunk: np.ndarray, lines_before: int, header: bytes, n: int):
+        # padding on both sides lets every field look up to _MAX_ID_DIGITS
+        # bytes back and every line a header's length ahead without bounds checks
+        buf = np.concatenate((_PAD, chunk, _PAD))
+        newlines = np.flatnonzero(buf == _NEWLINE)
+        self.newlines = len(newlines)
+        starts = np.concatenate(([len(_PAD)], newlines + 1))
+        ends = np.concatenate((newlines, [len(buf) - len(_PAD)]))
+        if starts[-1] == ends[-1] == len(buf) - len(_PAD):  # nothing after the final newline
+            starts, ends = starts[:-1], ends[:-1]
+        ends = ends - ((ends > starts) & (buf[ends - 1] == _CR))
+        skip = (ends == starts) | (buf[starts] == ord("#"))
+        is_header = ends - starts >= len(header)
+        for k, byte in enumerate(header):
+            is_header &= buf[starts + k] == byte
+        rows = np.flatnonzero(~(skip | is_header))
+        line_no = lines_before + rows + 1
+        starts, ends = starts[rows], ends[rows]
+
+        commas = np.flatnonzero(buf == _COMMA)
+        first_comma = np.searchsorted(commas, starts)
+        fields = np.searchsorted(commas, ends) - first_comma + 1
+        self.errors = []
+        if (fields != n).any():
+            i = int(np.argmax(fields != n))
+            self.errors.append((i, f"line {line_no[i]}: expected {n} comma-separated fields, "
+                                   f"got {fields[i]}"))
+            starts, ends, first_comma = starts[:i], ends[:i], first_comma[:i]
+        comma = commas[first_comma + np.arange(n - 1)[:, None]]  # one row per field
+        self.buf = buf
+        self.line_no = line_no[:len(starts)]
+        self.starts = np.vstack((starts, comma + 1))
+        self.ends = np.vstack((comma, ends))
+
+    def check(self, bad: np.ndarray, field: int, expected: str) -> None:
+        """Note the first row whose field (0-based) is bad."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            text = self.buf[self.starts[field, i]:self.ends[field, i]].tobytes()
+            self.errors.append((i, f"line {self.line_no[i]}: field {field + 1} must be "
+                                   f"{expected}, got {text.decode('utf-8', 'replace')!r}"))
+
+    def ids(self, field: int, expected: str) -> np.ndarray:
+        """The field as decimal ids of at most _MAX_ID_DIGITS digits."""
+        values, bad = _parse_decimal(self.buf, self.starts[field], self.ends[field],
+                                     _MAX_ID_DIGITS)
+        self.check(bad, field, expected)
+        return values
+
+    def raise_first(self) -> None:
+        if self.errors:
+            raise ValueError(min(self.errors)[1])
+
+
+def split_lines(data: bytes, header: bytes, n: int) -> Iterator[Fields]:
+    """The data lines of about _READ_CHUNK_BYTES of whole lines at a time.
+
+    A line ends at '\\n' and one '\\r' before it is dropped; nothing else
+    is stripped. Blank lines, lines starting with '#' and lines starting
+    with `header` are skipped; every other line should have n fields.
+    """
+    lines_before = pos = 0
+    while True:
+        end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
+        end = len(data) if end < 0 else end + 1
+        lines = Fields(np.frombuffer(data, np.uint8, end - pos, pos), lines_before, header, n)
+        yield lines
+        lines_before += lines.newlines
+        pos = end
+        if pos >= len(data):
+            break
 
 
 def decode_differential_csv(data: bytes) -> DifferentialColumns:
@@ -292,92 +463,36 @@ def decode_differential_csv(data: bytes) -> DifferentialColumns:
     capacity = data.count(b"\n") + 1
     out = [np.empty(capacity, dtype=t)
            for t in (np.int64, np.uint64, np.uint64, np.uint64, np.uint8)]
-    rows = lines_before = pos = 0
+    rows = 0
     word_size = 4
-    while True:
-        end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
-        end = len(data) if end < 0 else end + 1
-        cols, lines = _decode_chunk(np.frombuffer(data, np.uint8, end - pos, pos), lines_before)
-        for column, part in zip(out, cols[:5]):
+    for lines in split_lines(data, b"id,", 6):
+        buf, starts, ends = lines.buf, lines.starts, lines.ends
+        cols = [lines.ids(0, f"a decimal id of at most {_MAX_ID_DIGITS} digits")]
+        for field in (1, 2, 3):
+            start, end = starts[field], ends[field]
+            value, bad = _parse_hex(buf, start + 2, end)
+            bad |= (buf[start] != _ZERO) | (buf[start + 1] != ord("x"))
+            lines.check(bad, field, f"0x and 1 to {_MAX_HEX_DIGITS} hex digits")
+            cols.append(value)
+            word_size = max(word_size, 4 * (int((end - start).max(initial=2)) - 2))
+        hw, bad = _parse_decimal(buf, starts[5], ends[5], 3)
+        lines.check(bad | (hw > _MAX_HW), 5, f"a decimal weight from 0 to {_MAX_HW}")
+        lines.raise_first()
+        cols.append(hw)
+        for column, part in zip(out, cols):
             column[rows:rows + len(part)] = part
-        rows += len(cols.ids)
-        word_size = max(word_size, cols.word_size)
-        lines_before += lines
-        pos = end
-        if pos >= len(data):
-            break
+        rows += len(hw)
     return DifferentialColumns(*(column[:rows] for column in out), word_size)
-
-
-def _decode_chunk(chunk: np.ndarray, lines_before: int):
-    """Columns and line count of a run of whole lines."""
-    # padding on both sides lets every field look up to _MAX_ID_DIGITS
-    # bytes back and every line three bytes ahead without bounds checks
-    buf = np.concatenate((_PAD, chunk, _PAD))
-    newlines = np.flatnonzero(buf == _NEWLINE)
-    starts = np.concatenate(([len(_PAD)], newlines + 1))
-    ends = np.concatenate((newlines, [len(buf) - len(_PAD)]))
-    if starts[-1] == ends[-1] == len(buf) - len(_PAD):  # nothing after the final newline
-        starts, ends = starts[:-1], ends[:-1]
-    ends = ends - ((ends > starts) & (buf[ends - 1] == _CR))
-    first = buf[starts]
-    header = ((ends - starts >= 3) & (first == ord("i")) & (buf[starts + 1] == ord("d"))
-              & (buf[starts + 2] == _COMMA))
-    lines = len(starts)
-    rows = np.flatnonzero((ends > starts) & (first != ord("#")) & ~header)
-    line_no = lines_before + rows + 1
-    starts, ends = starts[rows], ends[rows]
-
-    commas = np.flatnonzero(buf == _COMMA)
-    first_comma = np.searchsorted(commas, starts)
-    fields = np.searchsorted(commas, ends) - first_comma + 1
-    errors = []
-    if (fields != 6).any():
-        # report it unless an earlier line has another fault; check only those
-        i = int(np.argmax(fields != 6))
-        errors.append((i, f"line {line_no[i]}: expected 6 comma-separated fields, "
-                          f"got {fields[i]}"))
-        starts, ends, first_comma = starts[:i], ends[:i], first_comma[:i]
-    comma = commas[first_comma[:, None] + np.arange(5)]
-
-    def field_start(field):
-        return starts if field == 0 else comma[:, field - 1] + 1
-
-    def field_end(field):
-        return ends if field == 5 else comma[:, field]
-
-    def check(bad, field, expected):
-        if bad.any():
-            i = int(np.argmax(bad))
-            text = buf[field_start(field)[i]:field_end(field)[i]].tobytes()
-            errors.append((i, f"line {line_no[i]}: field {field + 1} must be {expected}, "
-                              f"got {text.decode('ascii', 'replace')!r}"))
-
-    ids, bad = _parse_decimal(buf, starts, field_end(0), _MAX_ID_DIGITS)
-    check(bad, 0, f"a decimal id of at most {_MAX_ID_DIGITS} digits")
-    hex_cols = []
-    word_size = 0
-    for field in (1, 2, 3):
-        start, end = field_start(field), field_end(field)
-        value, bad = _parse_hex(buf, start + 2, end)
-        bad |= (buf[start] != _ZERO) | (buf[start + 1] != ord("x"))
-        check(bad, field, f"0x and 1 to {_MAX_HEX_DIGITS} hex digits")
-        hex_cols.append(value)
-        word_size = max(word_size, 4 * (int((end - start).max(initial=2)) - 2))
-    hw, bad = _parse_decimal(buf, field_start(5), ends, 3)
-    bad |= hw > _MAX_HW
-    check(bad, 5, f"a decimal weight from 0 to {_MAX_HW}")
-    if errors:
-        raise ValueError(min(errors)[1])
-    return DifferentialColumns(ids.astype(np.int64), *hex_cols, hw.astype(np.uint8),
-                               word_size), lines
 
 
 def _right_aligned(buf, start, end, width: int) -> np.ndarray:
     """The `width` bytes before each field end, with '0' in place of the
     bytes before the field start."""
     window = np.lib.stride_tricks.sliding_window_view(buf, width)[end - width]
-    np.putmask(window, np.arange(width) < width - (end - start)[:, None], _ZERO)
+    length = end - start
+    if (length == width).all():  # every field fills its window
+        return window
+    np.putmask(window, np.arange(width) < width - length[:, None], _ZERO)
     return window
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import strategies as st
 
@@ -48,3 +50,32 @@ def digraphs(draw, max_nodes=9):
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(["E", "F"])), max_size=40))
     return DiffGraph(node_columns(nodes, 4), edges)
+
+
+@st.composite
+def dense_digraphs(draw, max_nodes=7):
+    """2 to max_nodes nodes, each ordered pair (self-loops included) an
+    edge with a drawn flag; denser than `digraphs`, whose short edge lists
+    leave most playouts a hit chance of 0 or 1."""
+    n = draw(st.integers(2, max_nodes))
+    ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    pairs = [(u, v) for u in ids for v in ids]
+    edges = [(u, v, "E") for (u, v), flag in zip(pairs, flags) if flag]
+    return DiffGraph(node_columns([DiffNode(i, i, i, 0, 1.0, 0) for i in ids], 4), edges)
+
+
+
+def any_digraphs():
+    """`digraphs` or `dense_digraphs`: short edge lists with two labels and
+    repeated pairs, or nodes that mostly have several successors."""
+    return st.one_of(digraphs(), dense_digraphs())
+
+def traced_peak(call):
+    """The result of call() and the peak bytes traced while it ran; numpy
+    reports its buffers to tracemalloc, so the figure repeats exactly."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

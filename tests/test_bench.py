@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import digraphs, make_diamond, make_two_node_graph
+from conftest import any_digraphs, dense_digraphs, make_diamond, make_two_node_graph
 from diffgraph import bench
 from diffgraph.bench import (
     FIG_TREE_DEPTH,
@@ -74,19 +74,6 @@ def exact_hit_probability(graph, start, target, max_depth):
         return sum(hit(v, visited | {v}) for v in options) / len(options)
 
     return hit(start, frozenset([start]))
-
-
-@st.composite
-def dense_digraphs(draw, max_nodes=7):
-    """2 to max_nodes nodes, each ordered pair (self-loops included) an
-    edge with a drawn flag; denser than `digraphs`, whose short edge lists
-    leave most playouts a hit chance of 0 or 1."""
-    n = draw(st.integers(2, max_nodes))
-    ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
-    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    pairs = [(u, v) for u in ids for v in ids]
-    edges = [(u, v, "E") for (u, v), flag in zip(pairs, flags) if flag]
-    return DiffGraph(node_columns([DiffNode(i, i, i, 0, 1.0, 0) for i in ids], 4), edges)
 
 
 def complete_bipartite(s_ids, t_ids):
@@ -161,7 +148,7 @@ class TestMcs:
             McsConfig(playouts=1, max_depth=0)
 
     @settings(deadline=None)
-    @given(digraphs(), st.data(), st.integers(1, 30), st.integers(0, 2 ** 31),
+    @given(any_digraphs(), st.data(), st.integers(1, 30), st.integers(0, 2 ** 31),
            st.integers(1, 6))
     def test_matches_reference_playouts(self, g, data, playouts, seed, max_depth):
         ids = [nd.node_id for nd in g.nodes]
@@ -195,7 +182,7 @@ class TestSeeding:
         assert built == [("mcs:6",)]
 
     @settings(deadline=None)
-    @given(digraphs(), st.data(), st.integers(2, 40), st.integers(0, 2 ** 31),
+    @given(any_digraphs(), st.data(), st.integers(2, 40), st.integers(0, 2 ** 31),
            st.integers(1, 6))
     def test_shorter_search_is_a_prefix(self, g, data, playouts, seed, max_depth):
         ids = [nd.node_id for nd in g.nodes]

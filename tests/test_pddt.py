@@ -1,12 +1,12 @@
 import functools
 import itertools
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from diffgraph import pddt as pddt_module
 from diffgraph.differential import (brute_force_dp, differential_weight, dyadic_str,
                                     is_valid_differential)
@@ -352,16 +352,6 @@ class TestCodec:
         with pytest.raises(ValueError) as err:
             Pddt.from_csv(data)
         assert str(err.value).startswith(f"line 5: {message}")
-
-
-def traced_peak(call):
-    """The result of call() and the peak bytes traced while it ran; numpy
-    reports its buffers to tracemalloc, so the figure repeats exactly."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def column_bytes(table):
