@@ -60,7 +60,8 @@ def _read_graph(nodes_path: str, edges_path: str) -> graphmod.DiffGraph:
 def _cmd_pddt_build(args) -> int:
     cfg = PddtConfig(args.n, args.threshold, args.max_elements)
     table = pddtmod.build_pddt(cfg)
-    Path(args.out).write_bytes(table.to_csv())
+    with open(args.out, "wb") as out:
+        table.write_csv(out)
     print(f"wrote {len(table)} entries to {args.out}")
     return EXIT_OK
 
@@ -68,8 +69,9 @@ def _cmd_pddt_build(args) -> int:
 def _cmd_pddt_sample(args) -> int:
     table = Pddt.from_csv(Path(args.input).read_bytes())
     sample = pddtmod.sample_pddt(table, SampleSpec(args.fraction, not args.no_quota, args.seed))
-    header = f"# seed={args.seed} fraction={args.fraction}\n".encode("utf-8")
-    Path(args.out).write_bytes(header + sample.to_csv())
+    with open(args.out, "wb") as out:
+        out.write(f"# seed={args.seed} fraction={args.fraction}\n".encode("utf-8"))
+        sample.write_csv(out)
     print(f"sampled {len(sample)} of {len(table)} entries to {args.out}")
     return EXIT_OK
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .pddt import (DP_OF_HW, Dec, DifferentialColumns, DiffNode, Hex, Pddt,
-                   Lines, decode_differential_csv, differential_lines, encode_differential_csv,
+                   Lines, decode_differential_csv, differential_csv, differential_lines,
                    join_lines, make_nodes, split_lines)
 
 # rule field name -> node column; weight is 2^-hw
@@ -314,7 +314,7 @@ _NODES_HEADER = "id,input_a,input_b,output,weight,hw"
 
 
 def to_nodes_csv(graph: DiffGraph) -> bytes:
-    return encode_differential_csv(_NODES_HEADER, *graph.columns)
+    return join_lines(differential_csv(_NODES_HEADER, *graph.columns))
 
 
 # An edge line is (pieces, tail): Dec(0) is the source id, Dec(1) the

@@ -144,10 +144,20 @@ class Pddt:
 
     # --- serialization -------------------------------------------------
 
+    def _csv(self) -> list:
+        """The canonical CSV's parts: the header, then id,a,b,c,dp,hw lines
+        with zero-padded lowercase hex."""
+        return differential_csv("id,a,b,c,dp,hw", np.arange(len(self)), self.a, self.b,
+                                self.c, self.hw, self.config.word_size)
+
+    def write_csv(self, out) -> None:
+        """Write the canonical CSV to the binary file object `out`, a
+        bounded chunk of lines at a time."""
+        write_lines(out, self._csv())
+
     def to_csv(self) -> bytes:
-        """Canonical CSV: id,a,b,c,dp,hw with zero-padded lowercase hex."""
-        return encode_differential_csv("id,a,b,c,dp,hw", np.arange(len(self)), self.a, self.b,
-                                       self.c, self.hw, self.config.word_size)
+        """The canonical CSV as one buffer, filled by the same writer."""
+        return join_lines(self._csv())
 
     @classmethod
     def from_csv(cls, data: bytes) -> "Pddt":
@@ -162,7 +172,7 @@ class Pddt:
         word_size = decoded.word_size
         del decoded  # drops the ids column
         if not _is_sorted(*cols[:3]):
-            _gather(cols, np.lexsort(cols[2::-1]))
+            _gather(cols, _table_order(*cols[:3], word_size))
         hw = cols[3]
         p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
         return cls(PddtConfig(word_size, p_threshold), *cols)
@@ -325,6 +335,16 @@ class Lines:
             out.write(line[:rows][keep[:rows]])
 
 
+def write_lines(out, parts) -> None:
+    """Write the parts, each bytes or Lines, in order to the binary file
+    object `out`."""
+    for part in parts:
+        if isinstance(part, bytes):
+            out.write(part)
+        else:
+            part.write(out)
+
+
 def join_lines(parts) -> bytes:
     """The parts, each bytes or Lines, in order. The output buffer is
     allocated once at its final size and returned without a copy, so
@@ -335,11 +355,7 @@ def join_lines(parts) -> bytes:
         out.seek(size - 1)
         out.write(b"\0")
         out.seek(0)
-    for part in parts:
-        if isinstance(part, bytes):
-            out.write(part)
-        else:
-            part.write(out)
+    write_lines(out, parts)
     if out.tell() != size:
         raise RuntimeError(f"wrote {out.tell()} bytes of {size}")
     return out.getvalue()  # the buffer itself, not a copy
@@ -360,10 +376,11 @@ def differential_lines(pieces, tail: str, ids, a, b, c, hw, word_size: int) -> L
 _CSV_ROW = ((Dec(0), b",0x", Hex(1), b",0x", Hex(2), b",0x", Hex(3)), ",{dp},{hw}\n")
 
 
-def encode_differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> bytes:
-    """The header line, then one `id,a,b,c,dp,hw` line per row."""
-    return join_lines([(header + "\n").encode("ascii"),
-                       differential_lines(*_CSV_ROW, ids, a, b, c, hw, word_size)])
+def differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> list:
+    """The parts of a differential CSV: the header line, then one
+    `id,a,b,c,dp,hw` line per row."""
+    return [(header + "\n").encode("ascii"),
+            differential_lines(*_CSV_ROW, ids, a, b, c, hw, word_size)]
 
 
 class Fields:
@@ -550,30 +567,41 @@ def partial_dp(a: int, b: int, c: int, k: int) -> float:
     return 2.0 ** -differential_weight(a, b, c, k)
 
 
-def _expand_level(frontier, bit: int, max_weight: int):
+def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
     """One bit-assignment step: each prefix's children, triple by triple.
 
     A prefix takes (x, y, z) if its previous bits disagree and it has weight
     to spare (`heavy`: the child weighs one more), or if their common bit,
-    the state itself, equals x ^ y ^ z.
+    the state itself, equals x ^ y ^ z. So the four triples of one parity
+    take the same parents, which are gathered once per parity; each
+    triple's children fill their slice of the level, allocated once at its
+    size, and a level above max_elements rows is refused before that.
     """
     a, b, c, w, state = frontier
     heavy = (state == _NEQ) & (w < max_weight)
-    children = []
+    parents = [np.flatnonzero(heavy | (state == p)) for p in (_EQ0, _EQ1)]
+    size = 4 * sum(map(len, parents))
+    if size > max_elements:
+        raise PddtOverflowError(size, max_elements)
+    w = w + heavy
+    parents = [(a[idx], b[idx], c[idx], w[idx]) for idx in parents]
+    level = [np.empty(size, dtype=col.dtype) for col in frontier]
+    lo = 0
     for x, y, z in product((0, 1), repeat=3):
-        idx = np.flatnonzero(heavy | (state == x ^ y ^ z))
-        children.append((a[idx] | np.uint64(x << bit), b[idx] | np.uint64(y << bit),
-                         c[idx] | np.uint64(z << bit), w[idx] + heavy[idx],
-                         np.full(len(idx), x if x == y == z else _NEQ, dtype=np.uint8)))
-    return tuple(map(np.concatenate, zip(*children)))
+        pa, pb, pc, pw = parents[x ^ y ^ z]
+        rows = slice(lo, lo + len(pa))
+        for col, parent, value in zip(level, (pa, pb, pc), (x, y, z)):
+            np.bitwise_or(parent, np.uint64(value << bit), out=col[rows])
+        level[3][rows] = pw
+        level[4][rows] = x if x == y == z else _NEQ
+        lo = rows.stop
+    return tuple(level)
 
 
 def _build_branch(frontier, config: PddtConfig):
     """Expand a frontier of bit-0 prefixes over bit positions 1..n-1."""
     for bit in range(1, config.word_size):
-        frontier = _expand_level(frontier, bit, config.max_weight)
-        if len(frontier[0]) > config.max_elements:
-            raise PddtOverflowError(len(frontier[0]), config.max_elements)
+        frontier = _expand_level(frontier, bit, config.max_weight, config.max_elements)
     return frontier[:4]
 
 
@@ -597,15 +625,25 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     """
     zero = np.zeros(1, dtype=np.uint64)
     empty = (zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8))
-    level = _expand_level(empty, 0, config.max_weight)
+    level = _expand_level(empty, 0, config.max_weight, config.max_elements)
     fragments = [_build_branch(tuple(col[k:k + 1] for col in level), config)
                  for k in range(len(level[0]))]
+    rows = sum(len(fragment[0]) for fragment in fragments)
+    if rows > config.max_elements:
+        raise PddtOverflowError(rows, config.max_elements)
     cols = [np.concatenate(col) for col in zip(*fragments)]
     del fragments
-    if len(cols[0]) > config.max_elements:
-        raise PddtOverflowError(len(cols[0]), config.max_elements)
-    _gather(cols, np.lexsort(cols[2::-1]))
+    _gather(cols, _table_order(*cols[:3], config.word_size))
     return Pddt(config, *cols)
+
+
+def _table_order(a, b, c, word_size: int) -> np.ndarray:
+    """The stable permutation that sorts rows of word_size-bit words by
+    (a, b, c): on the two keys (a << word_size | b, c) when a and b fit
+    in one uint64 together, else on three."""
+    if 2 * word_size <= 64:
+        return np.lexsort((c, a << np.uint64(word_size) | b))
+    return np.lexsort((c, b, a))
 
 
 def _gather(cols: list, order: np.ndarray) -> None:

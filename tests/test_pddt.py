@@ -1,4 +1,6 @@
+import collections
 import functools
+import hashlib
 import itertools
 import threading
 
@@ -105,6 +107,24 @@ class TestBuild:
             build_pddt(PddtConfig(8, 0.1, max_elements=100))
         assert err.value.count > 100
 
+    @pytest.mark.parametrize("n, limit, reached", [(8, 100, 196), (16, 50_000, 52_612)])
+    def test_max_elements_refused_before_allocation(self, monkeypatch, n, limit, reached):
+        largest = []
+
+        def recording(make):
+            def wrapper(*args, **kwargs):
+                array = make(*args, **kwargs)
+                largest.append(array.size)
+                return array
+            return wrapper
+
+        for name in ("empty", "concatenate"):
+            monkeypatch.setattr(np, name, recording(getattr(np, name)))
+        with pytest.raises(PddtOverflowError, match=f"^PDDT exceeded max_elements={limit} "
+                                                    f"\\(reached {reached}\\)$"):
+            build_pddt(PddtConfig(n, 0.1, max_elements=limit))
+        assert largest and max(largest) <= limit
+
     def test_bad_threshold(self):
         with pytest.raises(ParameterError):
             PddtConfig(4, 0.0)
@@ -121,6 +141,40 @@ class TestBuild:
         top = 1 << 63
         t = build_pddt(PddtConfig(64, 1.0))
         assert t.triples() == {(0, 0, 0), (0, top, top), (top, 0, top), (top, top, 0)}
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 40])
+    def test_rows_ascend_across_the_two_key_boundary(self, n):
+        # n = 32 is the widest word the two-key sort takes, n = 33 the narrowest it does not
+        t = build_pddt(PddtConfig(n, 0.25))
+        rows = list(zip(t.a.tolist(), t.b.tolist(), t.c.tolist()))
+        assert all(p < q for p, q in zip(rows, rows[1:]))
+        assert pddt_stats(t).weight_histogram == automaton_histogram(n, 2)
+
+
+def automaton_histogram(n, max_weight):
+    """Rows per weight at word size n, counted by the carry automaton: a
+    prefix in state EQ0 or EQ1 (its last bits all 0 or all 1) takes the four
+    triples whose xor is that bit at no cost, one in state NEQ takes all
+    eight for one more weight; the empty prefix is EQ0 at weight 0."""
+    counts = {(0, 0): 1}  # (state, weight) -> prefixes; state 2 is NEQ
+    for _ in range(n):
+        grown = collections.Counter()
+        for (state, w), k in counts.items():
+            for x, y, z in itertools.product((0, 1), repeat=3):
+                child = x if x == y == z else 2
+                if state == 2 and w < max_weight:
+                    grown[child, w + 1] += k
+                elif state == x ^ y ^ z:
+                    grown[child, w] += k
+        counts = grown
+    hist = collections.Counter()
+    for (_, w), k in counts.items():
+        hist[w] += k
+    return dict(hist)
+
+
+def test_automaton_histogram_matches_the_n32_table():
+    assert automaton_histogram(32, 3) == {0: 4, 1: 744, 2: 66960, 3: 3883680}
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,6 +361,25 @@ class TestCodec:
         for col in ("a", "b", "c", "hw"):
             assert getattr(back, col).tolist() == getattr(table, col).tolist()
 
+    @pytest.mark.parametrize("n, keys", [(32, 2), (33, 3)])
+    def test_shuffled_wide_table_comes_back_sorted(self, monkeypatch, n, keys):
+        # 33-bit words are read back as 36 bits wide, past the two-key sort
+        table = build_pddt(PddtConfig(n, 0.25))
+        header, *rows = table.to_csv().splitlines()
+        np.random.default_rng(n).shuffle(rows)
+        sorts = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(keys):
+            sorts.append(len(keys))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        back = Pddt.from_csv(b"\n".join([header] + rows) + b"\n")
+        assert sorts == [keys]
+        for col in ("a", "b", "c", "hw"):
+            assert getattr(back, col).tolist() == getattr(table, col).tolist()
+
     def test_chunk_boundaries(self, monkeypatch):
         table = build_pddt(PddtConfig(8, 0.1))
         expected = seed_to_csv(table)
@@ -371,6 +444,23 @@ class TestMemory:
         assert isinstance(data, bytes)
         assert peak < 2.5 * len(data)
 
+    def test_write_csv_streams(self, table):
+        expected = table.to_csv()
+
+        class Sink:
+            def __init__(self):
+                self.size, self.digest = 0, hashlib.sha256()
+
+            def write(self, data):
+                self.size += len(data)
+                self.digest.update(data)
+
+        sink = Sink()
+        _, peak = traced_peak(lambda: table.write_csv(sink))
+        assert sink.size == len(expected)
+        assert sink.digest.digest() == hashlib.sha256(expected).digest()
+        assert peak < 1.0 * column_bytes(table)
+
     def test_from_csv_holds_its_columns_once(self, table):
         data = table.to_csv()
         back, peak = traced_peak(lambda: Pddt.from_csv(data))
@@ -381,4 +471,4 @@ class TestMemory:
     def test_build_merges_without_copies(self, workers):
         built, peak = traced_peak(lambda: build_pddt(PddtConfig(16, 0.1), workers=workers))
         assert len(built) == 408_604
-        assert peak < 3.0 * column_bytes(built)
+        assert peak < 2.3 * column_bytes(built)
