@@ -60,8 +60,7 @@ def _read_graph(nodes_path: str, edges_path: str) -> graphmod.DiffGraph:
 def _cmd_pddt_build(args) -> int:
     cfg = PddtConfig(args.n, args.threshold, args.max_elements)
     table = pddtmod.build_pddt(cfg)
-    with open(args.out, "wb") as out:
-        table.write_csv(out)
+    Path(args.out).write_bytes(table.to_csv())
     print(f"wrote {len(table)} entries to {args.out}")
     return EXIT_OK
 

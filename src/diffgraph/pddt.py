@@ -147,7 +147,7 @@ class Pddt:
     def _csv(self) -> list:
         """The canonical CSV's parts: the header, then id,a,b,c,dp,hw lines
         with zero-padded lowercase hex."""
-        return differential_csv("id,a,b,c,dp,hw", np.arange(len(self)), self.a, self.b,
+        return differential_csv("id,a,b,c,dp,hw", range(len(self)), self.a, self.b,
                                 self.c, self.hw, self.config.word_size)
 
     def write_csv(self, out) -> None:
@@ -239,7 +239,9 @@ class DifferentialColumns(NamedTuple):
 
 
 class Dec(NamedTuple):
-    """A line slot: a column of ids from 0 to 10^18 - 1, in decimal."""
+    """A line slot: a column of ids from 0 to 10^18 - 1, in decimal. The
+    column is an integer array, or range(n) for row numbers, which is made
+    into an array one chunk of rows at a time."""
 
     column: int
 
@@ -274,9 +276,12 @@ class Lines:
                 continue
             x = columns[piece.column]
             if isinstance(piece, Dec):
-                if int(x.min()) < 0:
+                if isinstance(x, range):  # range(n)
+                    low, top = 0, len(x) - 1
+                else:
+                    low, top = int(x.min()), int(x.max())
+                if low < 0:
                     raise ParameterError("row ids must be non-negative")
-                top = int(x.max())
                 if top >= 10 ** _MAX_ID_DIGITS:
                     raise ParameterError(f"row id {top} has more than {_MAX_ID_DIGITS} digits")
                 widths[piece.column] = 2 * -(-len(str(top)) // 2)  # written two digits at a time
@@ -291,7 +296,7 @@ class Lines:
             start += width
             if isinstance(piece, Dec):  # an id of d digits fills d bytes of its slot
                 x = columns[piece.column]
-                digits = len(x) + sum(np.count_nonzero(x >= 10**k) for k in range(1, width))
+                digits = len(x) + sum(_count_at_least(x, 10**k) for k in range(1, width))
                 self.size += digits - len(x) * width
         self.tail_start = start
         self.tail_bytes = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
@@ -318,6 +323,8 @@ class Lines:
                 if isinstance(piece, bytes):
                     continue
                 x = columns[piece.column][lo:lo + rows]
+                if isinstance(x, range):
+                    x = np.arange(x.start, x.stop)
                 field = line[:rows, start:start + width]
                 if isinstance(piece, Dec):
                     for k in range(0, width, 2):
@@ -333,6 +340,13 @@ class Lines:
             line[:rows, tail_start:] = self.tail_bytes[code]
             keep[:rows, tail_start:] = np.arange(tail_width) < self.tail_len[code][:, None]
             out.write(line[:rows][keep[:rows]])
+
+
+def _count_at_least(ids, value: int) -> int:
+    """How many of a Dec column's ids are at least `value`."""
+    if isinstance(ids, range):  # range(n)
+        return len(ids[value:])
+    return int(np.count_nonzero(ids >= value))
 
 
 def write_lines(out, parts) -> None:
@@ -367,7 +381,7 @@ def differential_lines(pieces, tail: str, ids, a, b, c, hw, word_size: int) -> L
     hw = np.asarray(hw, dtype=np.uint8)
     tails = [tail.format(dp=dyadic_str(w), hw=w).encode("ascii")
              for w in range(int(hw.max(initial=0)) + 1)]
-    columns = [np.asarray(ids, dtype=np.int64),
+    columns = [ids if isinstance(ids, range) else np.asarray(ids, dtype=np.int64),
                *(np.asarray(x, dtype=np.uint64) for x in (a, b, c))]
     return Lines(pieces, columns, tails, hw, word_size)
 

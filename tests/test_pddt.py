@@ -459,7 +459,7 @@ class TestMemory:
         _, peak = traced_peak(lambda: table.write_csv(sink))
         assert sink.size == len(expected)
         assert sink.digest.digest() == hashlib.sha256(expected).digest()
-        assert peak < 1.0 * column_bytes(table)
+        assert peak < 0.5 * column_bytes(table)  # no ids column: row ids are made per chunk
 
     def test_from_csv_holds_its_columns_once(self, table):
         data = table.to_csv()
