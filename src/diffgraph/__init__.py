@@ -34,7 +34,6 @@ from .pddt import (
 )
 from .graph import (
     DiffGraph,
-    DiffNode,
     EdgeRule,
     PathResult,
     Predicate,

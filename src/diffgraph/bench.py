@@ -184,7 +184,7 @@ _FIG_TREE_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
 def build_fig_tree_fixture() -> DiffGraph:
     """Deterministic toy tree where half of all uniform root-to-leaf walks
     have total probability <= 1."""
-    rows = [(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in enumerate(_FIG_TREE_HW)]
+    rows = [(i, i, i, 0, hw) for i, hw in enumerate(_FIG_TREE_HW)]
     edges = [(u, v, "OUTPUT_WEIGHT") for u, v in _FIG_TREE_EDGES]
     return DiffGraph(node_columns(rows, 4), edges)
 

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DP_OF_HW, Dec, DifferentialColumns, DiffNode, Hex, Pddt,
-                   Lines, decode_differential_csv, differential_csv, differential_lines,
-                   join_lines, make_nodes, split_lines)
+from .pddt import (DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
+                   decode_differential_csv, differential_csv, differential_lines,
+                   join_lines, split_lines)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -116,11 +116,6 @@ class DiffGraph:
             if not row or row[-1] != dst:
                 row.append(dst)
                 column.append(src)
-
-    @property
-    def nodes(self) -> List[DiffNode]:
-        """The nodes as rows, built on each access."""
-        return make_nodes(self.columns.ids.tolist(), *self.columns[1:5])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges

@@ -21,7 +21,7 @@ import io
 import logging
 import random
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import product
 from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -83,36 +83,14 @@ class SampleSpec:
             raise ParameterError(f"sample fraction {self.fraction} outside (0, 1]")
 
 
-class DiffNode(NamedTuple):
-    """One table row (a, b -> c) with probability dp = 2^-hw, numbered node_id."""
-
-    node_id: int
-    a: int
-    b: int
-    c: int
-    dp: float
-    hw: int
-
-
 # hw -> dp = 2^-hw for every weight a uint8 column holds
 DP_OF_HW = [2.0 ** -w for w in range(256)]
 
 
-def make_nodes(ids, a, b, c, hw) -> List[DiffNode]:
-    """One node per id and row of the numpy columns a, b, c, hw; dp = 2^-hw."""
-    hw = hw.tolist()
-    return list(starmap(DiffNode, zip(ids, a.tolist(), b.tolist(), c.tolist(),
-                                      map(DP_OF_HW.__getitem__, hw), hw)))
-
-
 def node_columns(rows, word_size: int) -> DifferentialColumns:
-    """The columns of (node_id, a, b, c, dp, hw) rows, the inverse of
-    make_nodes; a row whose dp is not 2^-hw raises ParameterError."""
+    """The columns of (node_id, a, b, c, hw) rows."""
     rows = list(rows)
-    ids, a, b, c, dp, hw = ([row[k] for row in rows] for k in range(6))
-    for node_id, p, w in zip(ids, dp, hw):
-        if p != 2.0 ** -w:
-            raise ParameterError(f"node {node_id}: dp {p} is not 2^-{w}")
+    ids, a, b, c, hw = ([row[k] for row in rows] for k in range(5))
     return DifferentialColumns(np.array(ids, dtype=np.int64),
                                *(np.array(x, dtype=np.uint64) for x in (a, b, c)),
                                np.array(hw, dtype=np.uint8), word_size)
@@ -134,13 +112,6 @@ class Pddt:
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self) -> Iterator[DiffNode]:
-        """The rows in table order, numbered by position."""
-        return iter(make_nodes(range(len(self)), self.a, self.b, self.c, self.hw))
-
-    def triples(self) -> set:
-        return set(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
 
     # --- serialization -------------------------------------------------
 
@@ -669,7 +640,9 @@ def _gather(cols: list, order: np.ndarray) -> None:
 
 def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
     """Seeded quota sample: ~fraction of the table, proportional within
-    each output-difference class, never dropping a class entirely."""
+    each output-difference class, never dropping a class entirely.
+    Without the quota rule a class may round to no rows; a sample that
+    keeps no row at all raises ParameterError."""
     if len(pddt) == 0:
         raise ParameterError("cannot sample an empty PDDT")
     if spec.fraction == 1.0:
@@ -689,6 +662,8 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
         )
     takes = np.minimum(np.maximum(floor_size, np.round(spec.fraction * sizes)), sizes)
     takes = takes.astype(np.int64)
+    if not takes.any():
+        raise ParameterError(f"sample fraction {spec.fraction} keeps none of {len(pddt)} rows")
     # random.sample reads only the population's length and indices, so
     # sampling positions draws exactly what sampling the rows would
     picks: List[int] = []

@@ -3,8 +3,21 @@ import tracemalloc
 import pytest
 from hypothesis import strategies as st
 
-from diffgraph.graph import DiffGraph, DiffNode, build_graph, default_edge_rule
+from diffgraph.graph import DiffGraph, build_graph, default_edge_rule
 from diffgraph.pddt import Pddt, PddtConfig, node_columns
+
+
+def node_rows(columns) -> list:
+    """(id, a, b, c, hw) tuples of a graph's node columns, or of a table's
+    rows numbered by position."""
+    ids = range(len(columns)) if isinstance(columns, Pddt) else columns.ids.tolist()
+    return list(zip(ids, columns.a.tolist(), columns.b.tolist(), columns.c.tolist(),
+                    columns.hw.tolist()))
+
+
+def triple_set(table: Pddt) -> set:
+    """The (a, b, c) set of a table's rows."""
+    return set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()))
 
 
 def make_hub_sample(n_nodes: int = 240, n_hubs: int = 4) -> Pddt:
@@ -26,17 +39,17 @@ def hub_graph() -> DiffGraph:
 def make_diamond() -> DiffGraph:
     """src 0 -> {1 (dp 0.5), 2 (dp 0.125)} -> dst 3."""
     nodes = [
-        DiffNode(0, 0, 0, 0, 1.0, 0),
-        DiffNode(1, 1, 1, 0, 0.5, 1),
-        DiffNode(2, 2, 2, 0, 0.125, 3),
-        DiffNode(3, 3, 3, 0, 0.25, 2),
+        (0, 0, 0, 0, 0),
+        (1, 1, 1, 0, 1),
+        (2, 2, 2, 0, 3),
+        (3, 3, 3, 0, 2),
     ]
     edges = [(0, 1, "E"), (0, 2, "E"), (1, 3, "E"), (2, 3, "E")]
     return DiffGraph(node_columns(nodes, 4), edges)
 
 
 def make_two_node_graph() -> DiffGraph:
-    nodes = [DiffNode(0, 1, 1, 0, 0.5, 1), DiffNode(1, 3, 3, 0, 0.25, 2)]
+    nodes = [(0, 1, 1, 0, 1), (1, 3, 3, 0, 2)]
     return DiffGraph(node_columns(nodes, 4), [(0, 1, "OUTPUT_WEIGHT")])
 
 
@@ -46,7 +59,7 @@ def digraphs(draw, max_nodes=9):
     may be self-loops or repeat a (src, dst) pair under any label."""
     ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=max_nodes, unique=True))
     hws = draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
-    nodes = [DiffNode(i, i, i, 0, 2.0 ** -hw, hw) for i, hw in zip(ids, hws)]
+    nodes = [(i, i, i, 0, hw) for i, hw in zip(ids, hws)]
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(["E", "F"])), max_size=40))
     return DiffGraph(node_columns(nodes, 4), edges)
@@ -62,7 +75,7 @@ def dense_digraphs(draw, max_nodes=7):
     flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     pairs = [(u, v) for u in ids for v in ids]
     edges = [(u, v, "E") for (u, v), flag in zip(pairs, flags) if flag]
-    return DiffGraph(node_columns([DiffNode(i, i, i, 0, 1.0, 0) for i in ids], 4), edges)
+    return DiffGraph(node_columns([(i, i, i, 0, 0) for i in ids], 4), edges)
 
 
 

@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from conftest import make_hub_sample
+from conftest import make_hub_sample, node_rows, triple_set
 from diffgraph.bench import (
     McsConfig,
     build_fig_tree_fixture,
@@ -75,7 +75,7 @@ def test_criterion_2_pddt_correctness():
             for a, b, c in itertools.product(range(16), repeat=3)
             if brute_force_dp(a, b, c, 4) >= threshold
         }
-        assert table.triples() == oracle
+        assert triple_set(table) == oracle
     assert time.perf_counter() - t0 < 10
 
 
@@ -83,14 +83,14 @@ def test_criterion_2_pddt_correctness():
 def test_criterion_3_monotonicity():
     t0 = time.perf_counter()
     table = build_pddt(PddtConfig(8, 0.1))
-    for d in table:
+    for _i, a, b, c, hw in node_rows(table):
         probs = [
-            partial_dp(d.a & ((1 << k) - 1), d.b & ((1 << k) - 1),
-                       d.c & ((1 << k) - 1), k)
+            partial_dp(a & ((1 << k) - 1), b & ((1 << k) - 1),
+                       c & ((1 << k) - 1), k)
             for k in range(9)
         ]
         assert all(p1 >= p2 for p1, p2 in zip(probs, probs[1:]))
-        assert probs[8] == d.dp
+        assert probs[8] == 2.0 ** -hw
     assert time.perf_counter() - t0 < 60
 
 
@@ -113,7 +113,7 @@ def test_criterion_4_published_count():
 def test_criterion_5_graph_figure():
     t0 = time.perf_counter()
     graph = build_graph(make_hub_sample(240, 4), default_edge_rule())
-    assert len(graph.nodes) == 240
+    assert len(graph.columns.ids) == 240
     assert len(graph.edges) == 960
     stats = graph_stats(graph)
     assert len(stats.hubs) == 4
@@ -126,7 +126,7 @@ def test_criterion_5_graph_figure():
 def test_criterion_6_weight_range():
     for n in (4, 8):
         table = build_pddt(PddtConfig(n, 0.1))
-        dps = [d.dp for d in table]
+        dps = [2.0 ** -hw for *_, hw in node_rows(table)]
         assert min(dps) == 0.125
         assert max(dps) == 1.0
         assert all(0.125 <= dp <= 1.0 for dp in dps)

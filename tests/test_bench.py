@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import any_digraphs, dense_digraphs, make_diamond, make_two_node_graph
+from conftest import any_digraphs, dense_digraphs, make_diamond, make_two_node_graph, node_rows
 from diffgraph import bench
 from diffgraph.bench import (
     FIG_TREE_DEPTH,
@@ -21,7 +21,7 @@ from diffgraph.bench import (
     mcs_search,
     min_weight_leaf_path,
 )
-from diffgraph.graph import DiffGraph, DiffNode, PathResult, to_nodes_csv, to_edges_csv
+from diffgraph.graph import DiffGraph, PathResult, to_nodes_csv, to_edges_csv
 from diffgraph.pddt import node_columns
 from diffgraph.simon import ParameterError
 
@@ -32,7 +32,7 @@ def reference_mcs(graph, start, config):
     successors = {u: [] for u in graph.successors}
     for src, dst, _label in graph.edges:
         successors[src].append(dst)
-    dp_of = {nd.node_id: nd.dp for nd in graph.nodes}
+    dp_of = {i: 2.0 ** -hw for i, *_, hw in node_rows(graph.columns)}
     best, trace, walk_totals = None, [], []
     rng = random.Random(f"mcs:{config.seed}")
     for i in range(config.playouts):
@@ -78,7 +78,7 @@ def exact_hit_probability(graph, start, target, max_depth):
 
 def complete_bipartite(s_ids, t_ids):
     """Every s in S has an edge to every t in T; S and T are disjoint."""
-    nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in (*s_ids, *t_ids)]
+    nodes = [(i, i, i, 0, 1) for i in (*s_ids, *t_ids)]
     edges = [(s, t, "E") for s in s_ids for t in t_ids]
     return DiffGraph(node_columns(nodes, 8), edges)
 
@@ -106,7 +106,7 @@ class TestFixture:
 
 class TestMcs:
     def test_isolated_start(self):
-        g = DiffGraph(node_columns([DiffNode(0, 0, 0, 0, 1.0, 0)], 4), [])
+        g = DiffGraph(node_columns([(0, 0, 0, 0, 0)], 4), [])
         report = mcs_search(g, 0, McsConfig(playouts=20, seed=1))
         assert report.best_path is None
         assert len(report.walk_totals) == 20
@@ -151,7 +151,7 @@ class TestMcs:
     @given(any_digraphs(), st.data(), st.integers(1, 30), st.integers(0, 2 ** 31),
            st.integers(1, 6))
     def test_matches_reference_playouts(self, g, data, playouts, seed, max_depth):
-        ids = [nd.node_id for nd in g.nodes]
+        ids = g.columns.ids.tolist()
         start = data.draw(st.sampled_from(ids))
         target = data.draw(st.none() | st.sampled_from(ids))
         cfg = McsConfig(playouts, seed, max_depth, target_node=target)
@@ -185,7 +185,7 @@ class TestSeeding:
     @given(any_digraphs(), st.data(), st.integers(2, 40), st.integers(0, 2 ** 31),
            st.integers(1, 6))
     def test_shorter_search_is_a_prefix(self, g, data, playouts, seed, max_depth):
-        ids = [nd.node_id for nd in g.nodes]
+        ids = g.columns.ids.tolist()
         start = data.draw(st.sampled_from(ids))
         target = data.draw(st.none() | st.sampled_from(ids))
         k = data.draw(st.integers(1, playouts - 1))
@@ -199,7 +199,7 @@ class TestHitRate:
     @settings(deadline=None, max_examples=40)
     @given(dense_digraphs(), st.data(), st.integers(0, 2 ** 31), st.integers(1, 6))
     def test_empirical_rate_matches_exact(self, g, data, seed, max_depth):
-        ids = [nd.node_id for nd in g.nodes]
+        ids = g.columns.ids.tolist()
         start = data.draw(st.sampled_from(ids))
         target = data.draw(st.sampled_from([i for i in ids if i != start]))
         p = exact_hit_probability(g, start, target, max_depth)
@@ -269,7 +269,7 @@ class TestCompare:
         assert mcs_report.best_path.node_sequence == (0, 1)
 
     def test_zero_edge_graph(self):
-        nodes = [DiffNode(0, 0, 0, 0, 1.0, 0), DiffNode(1, 1, 1, 0, 0.5, 1)]
+        nodes = [(0, 0, 0, 0, 0), (1, 1, 1, 0, 1)]
         g = DiffGraph(node_columns(nodes, 4), [])
         mcs_report, graph_report = compare(g, 0, 1, McsConfig(playouts=10, seed=0))
         assert mcs_report.best_path is None
@@ -283,7 +283,7 @@ class TestCompare:
     @pytest.mark.parametrize("graph_best", [PathResult((0, 2, 3), 1.375), None])
     def test_dominance_violation_raises(self, monkeypatch, graph_best):
         def worse_search(graph, start, dst, max_hops):
-            return SearchReport("graph", 0, len(graph.nodes), graph_best, 0.0)
+            return SearchReport("graph", 0, len(graph.columns.ids), graph_best, 0.0)
 
         monkeypatch.setattr(bench, "graph_guided_search", worse_search)
         with pytest.raises(DominanceError):

@@ -71,6 +71,15 @@ class TestPddtCommands:
             "--seed", 42, "--out", sample)
         assert sample.read_text().startswith("# seed=42 fraction=0.05\n")
 
+    def test_sample_of_no_row_is_runtime_error(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        sample = tmp_path / "s.csv"
+        run(tmp_path, "pddt", "build", "--n", 6, "--threshold", 0.5, "--out", table)
+        assert run(tmp_path, "pddt", "sample", "--input", table, "--fraction", 0.001,
+                   "--no-quota", "--out", sample) == 1
+        assert capsys.readouterr().err == "error: sample fraction 0.001 keeps none of 124 rows\n"
+        assert not sample.exists()
+
     def test_stats_output(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.1, "--out", table)

@@ -4,13 +4,13 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import any_digraphs, make_diamond, make_hub_sample, make_two_node_graph, traced_peak
+from conftest import (any_digraphs, make_diamond, make_hub_sample, make_two_node_graph, node_rows,
+                      traced_peak)
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
     EXPORT_FORMATS,
     NODE_FIELDS,
     DiffGraph,
-    DiffNode,
     EdgeRule,
     GraphStats,
     PathResult,
@@ -38,8 +38,8 @@ NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
 
 def reference_adjacency(graph):
     """One row entry per edge, duplicates kept, as the graph's rows once were."""
-    successors = {nd.node_id: [] for nd in graph.nodes}
-    predecessors = {nd.node_id: [] for nd in graph.nodes}
+    successors = {node_id: [] for node_id in graph.columns.ids.tolist()}
+    predecessors = {node_id: [] for node_id in graph.columns.ids.tolist()}
     for src, dst, _label in graph.edges:
         successors[src].append(dst)
         predecessors[dst].append(src)
@@ -50,7 +50,7 @@ def reference_paths(graph, src, dst, max_hops):
     """Every simple path src -> dst within max_hops, found by exhaustive
     DFS and sorted by rank."""
     successors, _ = reference_adjacency(graph)
-    dp_of = {nd.node_id: nd.dp for nd in graph.nodes}
+    dp_of = {node_id: 2.0 ** -hw for node_id, *_, hw in node_rows(graph.columns)}
     if src == dst:
         return [PathResult((src,), dp_of[src])]
     results = []
@@ -84,17 +84,18 @@ def reference_stats(graph):
     def neighbors(u):
         return sorted(set(successors[u]) | set(predecessors[u]))
 
-    in_deg = {nd.node_id: len(predecessors[nd.node_id]) for nd in graph.nodes}
-    out_deg = {nd.node_id: len(successors[nd.node_id]) for nd in graph.nodes}
+    ids = graph.columns.ids.tolist()
+    in_deg = {node_id: len(predecessors[node_id]) for node_id in ids}
+    out_deg = {node_id: len(successors[node_id]) for node_id in ids}
     max_in = max(in_deg.values(), default=0)
     hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
     seen = set()
     components = []
-    for nd in graph.nodes:
-        if nd.node_id in seen:
+    for node_id in ids:
+        if node_id in seen:
             continue
-        comp, queue = [], [nd.node_id]
-        seen.add(nd.node_id)
+        comp, queue = [], [node_id]
+        seen.add(node_id)
         while queue:
             u = queue.pop(0)
             comp.append(u)
@@ -104,25 +105,25 @@ def reference_stats(graph):
                     queue.append(v)
         components.append(sorted(comp))
     clustering = {}
-    for nd in graph.nodes:
-        nbrs = [v for v in neighbors(nd.node_id) if v != nd.node_id]
+    for node_id in ids:
+        nbrs = [v for v in neighbors(node_id) if v != node_id]
         k = len(nbrs)
         if k < 2:
-            clustering[nd.node_id] = 0.0
+            clustering[node_id] = 0.0
             continue
         links = sum(
             1 for i, u in enumerate(nbrs) for v in nbrs[i + 1:]
             if v in successors[u] or u in successors[v]
         )
-        clustering[nd.node_id] = 2.0 * links / (k * (k - 1))
-    return GraphStats(len(graph.nodes), len(graph.edges), in_deg, out_deg,
+        clustering[node_id] = 2.0 * links / (k * (k - 1))
+    return GraphStats(len(ids), len(graph.edges), in_deg, out_deg,
                       hubs, components, clustering)
 
 
-def reference_field(node, name):
-    """A node's rule field, looked up as DiffNode.get once did."""
-    return {"input_a": node.a, "input_b": node.b, "output": node.c,
-            "weight": node.dp, "hw": node.hw}[name]
+def reference_field(row, name):
+    """The rule field of an (id, a, b, c, hw) node row; weight is 2^-hw."""
+    _node_id, a, b, c, hw = row
+    return {"input_a": a, "input_b": b, "output": c, "weight": 2.0 ** -hw, "hw": hw}[name]
 
 
 def _hex(x, n):
@@ -149,13 +150,13 @@ def reference_graphml(graph):
         '  <key id="label" for="edge" attr.name="label" attr.type="string"/>',
         '  <graph id="G" edgedefault="directed">',
     ]
-    for nd in graph.nodes:
-        out.append(f'    <node id="n{nd.node_id}">')
-        out.append(f'      <data key="input_a">{_hex(nd.a, n)}</data>')
-        out.append(f'      <data key="input_b">{_hex(nd.b, n)}</data>')
-        out.append(f'      <data key="output">{_hex(nd.c, n)}</data>')
-        out.append(f'      <data key="weight">{dyadic_str(nd.hw)}</data>')
-        out.append(f'      <data key="hw">{nd.hw}</data>')
+    for node_id, a, b, c, hw in node_rows(graph.columns):
+        out.append(f'    <node id="n{node_id}">')
+        out.append(f'      <data key="input_a">{_hex(a, n)}</data>')
+        out.append(f'      <data key="input_b">{_hex(b, n)}</data>')
+        out.append(f'      <data key="output">{_hex(c, n)}</data>')
+        out.append(f'      <data key="weight">{dyadic_str(hw)}</data>')
+        out.append(f'      <data key="hw">{hw}</data>')
         out.append('    </node>')
     for src, dst, label in graph.edges:
         out.append(f'    <edge source="n{src}" target="n{dst}">')
@@ -168,11 +169,11 @@ def reference_graphml(graph):
 def reference_dot(graph):
     n = graph.word_size
     out = ["digraph differentials {"]
-    for nd in graph.nodes:
+    for node_id, a, b, c, hw in node_rows(graph.columns):
         out.append(
-            f'  n{nd.node_id} [label="{nd.node_id}" input_a="{_hex(nd.a, n)}" '
-            f'input_b="{_hex(nd.b, n)}" output="{_hex(nd.c, n)}" '
-            f'weight="{dyadic_str(nd.hw)}" hw="{nd.hw}"];'
+            f'  n{node_id} [label="{node_id}" input_a="{_hex(a, n)}" '
+            f'input_b="{_hex(b, n)}" output="{_hex(c, n)}" '
+            f'weight="{dyadic_str(hw)}" hw="{hw}"];'
         )
     for src, dst, label in graph.edges:
         out.append(f'  n{src} -> n{dst} [label="{label}"];')
@@ -183,11 +184,11 @@ def reference_dot(graph):
 def reference_cypher(graph):
     n = graph.word_size
     out = []
-    for nd in graph.nodes:
+    for node_id, a, b, c, hw in node_rows(graph.columns):
         out.append(
-            f"CREATE (:DIFFERENTIALS {{id: {nd.node_id}, input_a: '{_hex(nd.a, n)}', "
-            f"input_b: '{_hex(nd.b, n)}', output: '{_hex(nd.c, n)}', "
-            f"weight: {dyadic_str(nd.hw)}, hw: {nd.hw}}});"
+            f"CREATE (:DIFFERENTIALS {{id: {node_id}, input_a: '{_hex(a, n)}', "
+            f"input_b: '{_hex(b, n)}', output: '{_hex(c, n)}', "
+            f"weight: {dyadic_str(hw)}, hw: {hw}}});"
         )
     for src, dst, label in graph.edges:
         out.append(
@@ -267,7 +268,7 @@ class TestEdgeRule:
     def test_matches_equals_field_lookup(self, field, op, values, bound):
         # exact Python comparisons, also for values above 2**53
         a, b, c, hw = values
-        node = DiffNode(7, a, b, c, 2.0 ** -hw, hw)
+        node = (7, a, b, c, hw)
         columns = node_columns([node], 64)
         ops = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
         for value in (bound, a, a + 1, c - 1, 2.0 ** -hw):
@@ -277,7 +278,7 @@ class TestEdgeRule:
 
     def test_select_is_exact_above_2_53(self):
         # 2^53 + 1 rounds to the float 2^53, so a numpy mask would match it
-        columns = node_columns([DiffNode(0, 2**53 + 1, 0, 0, 1.0, 0)], 64)
+        columns = node_columns([(0, 2**53 + 1, 0, 0, 0)], 64)
         assert Predicate("input_a", "=", float(2**53)).select(columns) == []
         assert Predicate("input_a", ">=", float(2**53 + 2)).select(columns) == []
         assert Predicate("input_a", "=", 2**53 + 1).select(columns) == [0]
@@ -306,7 +307,7 @@ class TestBuildGraph:
         assert g.edges == []
 
     def test_hub_fixture_240_960(self, hub_graph):
-        assert len(hub_graph.nodes) == 240
+        assert len(hub_graph.columns.ids) == 240
         assert len(hub_graph.edges) == 960
 
     def test_self_loop_exclusion(self):
@@ -318,8 +319,8 @@ class TestBuildGraph:
         rule = EdgeRule(Predicate("output", "=", 0), Predicate("weight", ">=", 0.5),
                         allow_self_loops=False)
         g = build_graph(sample, rule)
-        sources = [nd.node_id for nd in g.nodes if nd.c == 0]
-        targets = [nd.node_id for nd in g.nodes if nd.dp >= 0.5]
+        sources = [i for i, _a, _b, c, _hw in node_rows(g.columns) if c == 0]
+        targets = [i for i, *_, hw in node_rows(g.columns) if 2.0 ** -hw >= 0.5]
         assert (len(sources), len(targets)) == (5, 3)
         assert len(set(sources) & set(targets)) == 2
         assert len(g.edges) == 5 * 3 - 2
@@ -343,7 +344,7 @@ class TestBuildGraph:
 
 class TestAdjacency:
     def test_rows_sorted_without_duplicates(self):
-        nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in (3, 0, 2)]
+        nodes = [(i, i, i, 0, 1) for i in (3, 0, 2)]
         edges = [(3, 0, "F"), (0, 2, "E"), (3, 0, "E"), (0, 2, "E"), (3, 2, "E"), (2, 2, "E")]
         g = DiffGraph(node_columns(nodes, 4), edges)
         assert g.successors == {3: [0, 2], 0: [2], 2: [2]}
@@ -351,7 +352,7 @@ class TestAdjacency:
         assert len(g.edges) == 6
 
     def test_duplicate_node_ids_rejected(self):
-        nodes = [DiffNode(4, 1, 1, 0, 0.5, 1), DiffNode(4, 3, 3, 0, 0.25, 2)]
+        nodes = [(4, 1, 1, 0, 1), (4, 3, 3, 0, 2)]
         with pytest.raises(ParameterError, match="duplicate node ids"):
             DiffGraph(node_columns(nodes, 4), [])
 
@@ -376,13 +377,13 @@ class TestStats:
             assert s.in_degree[h] == 240
 
     def test_star_center_clustering_zero(self):
-        nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in range(5)]
+        nodes = [(i, i, i, 0, 1) for i in range(5)]
         edges = [(0, i, "E") for i in range(1, 5)]
         s = graph_stats(DiffGraph(node_columns(nodes, 4), edges))
         assert s.clustering[0] == 0.0
 
     def test_components(self):
-        nodes = [DiffNode(i, i, i, 0, 0.5, 1) for i in range(4)]
+        nodes = [(i, i, i, 0, 1) for i in range(4)]
         g = DiffGraph(node_columns(nodes, 4), [(0, 1, "E"), (2, 3, "E")])
         assert graph_stats(g).components == [[0, 1], [2, 3]]
 
@@ -453,7 +454,7 @@ class TestPaths:
     @settings(deadline=None)
     @given(any_digraphs())
     def test_matches_reference_dfs(self, g):
-        ids = [nd.node_id for nd in g.nodes]
+        ids = g.columns.ids.tolist()
         for src in ids:
             for dst in ids:
                 for max_hops in range(1, 5):
@@ -525,14 +526,11 @@ class TestExports:
     @given(tables(), st.sampled_from(RULES))
     def test_matches_reference_exports(self, table, rule):
         g = build_graph(table, rule)
-        hw = table.hw.tolist()
-        assert g.nodes == [DiffNode(i, a, b, c, 2.0 ** -w, w) for i, a, b, c, w in
-                           zip(range(len(hw)), table.a.tolist(), table.b.tolist(),
-                               table.c.tolist(), hw)]
+        assert node_rows(g.columns) == node_rows(table)
         for export, reference in REFERENCE_EXPORTS.items():
             assert export(g) == reference(g)
         back = from_csv(to_nodes_csv(g), to_edges_csv(g))  # word size is not kept
-        assert (back.nodes, back.edges) == (g.nodes, g.edges)
+        assert (node_rows(back.columns), back.edges) == (node_rows(g.columns), g.edges)
 
     @settings(deadline=None)
     @given(any_digraphs())
@@ -545,7 +543,7 @@ class TestExports:
 
     def test_empty_graph_matches_reference(self):
         g = from_csv(NODES_HEADER.encode(), b"src_id,dst_id,label\n")
-        assert g.nodes == [] and g.edges == []
+        assert node_rows(g.columns) == [] and g.edges == []
         for export, reference in REFERENCE_EXPORTS.items():
             assert export(g) == reference(g)
         assert to_cypher(g) == b"\n"
@@ -556,24 +554,24 @@ class TestExports:
     def test_value_wider_than_word_size_rejected(self, fmt, field):
         values = [0, 0, 0]
         values[field - 1] = 0x10
-        g = DiffGraph(node_columns([DiffNode(0, *values, 1.0, 0)], 4), [])
+        g = DiffGraph(node_columns([(0, *values, 0)], 4), [])
         with pytest.raises(ParameterError, match="does not fit in 4 bits"):
             export_graph(g, fmt)
 
     def test_id_the_reader_refuses_is_not_written(self):
-        g = DiffGraph(node_columns([DiffNode(10**18, 0, 0, 0, 1.0, 0)], 4), [])
+        g = DiffGraph(node_columns([(10**18, 0, 0, 0, 0)], 4), [])
         with pytest.raises(ParameterError, match="row id 1000000000000000000 has more than 18"):
             to_nodes_csv(g)
 
     def test_largest_id_round_trips(self):
-        g = DiffGraph(node_columns([DiffNode(10**18 - 1, 0x5, 0x3, 0x6, 0.5, 1)], 4), [])
+        g = DiffGraph(node_columns([(10**18 - 1, 0x5, 0x3, 0x6, 1)], 4), [])
         back = from_csv(to_nodes_csv(g), b"")
         assert back == g
-        assert back.nodes == [DiffNode(10**18 - 1, 0x5, 0x3, 0x6, 0.5, 1)]
+        assert node_rows(back.columns) == [(10**18 - 1, 0x5, 0x3, 0x6, 1)]
 
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_value_within_hex_width_but_wider_than_word_size_rejected(self, fmt):
-        g = DiffGraph(node_columns([DiffNode(0, 0xff, 0, 0, 1.0, 0)], 5), [])
+        g = DiffGraph(node_columns([(0, 0xff, 0, 0, 0)], 5), [])
         with pytest.raises(ParameterError, match="does not fit in 5 bits"):
             export_graph(g, fmt)
 
@@ -721,5 +719,5 @@ class TestMemory:
     def test_graphml_holds_its_output_and_a_chunk(self):
         g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
         data, peak = traced_peak(lambda: to_graphml(g))
-        assert len(g.nodes) == 20_000 and len(g.edges) == 80_000
+        assert len(g.columns.ids) == 20_000 and len(g.edges) == 80_000
         assert peak < len(data) + 16 * 2**20

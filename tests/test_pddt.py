@@ -2,18 +2,18 @@ import collections
 import functools
 import hashlib
 import itertools
+import logging
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import node_rows, traced_peak, triple_set
 from diffgraph import pddt as pddt_module
 from diffgraph.differential import (brute_force_dp, differential_weight, dyadic_str,
                                     is_valid_differential)
 from diffgraph.pddt import (
-    DiffNode,
     Pddt,
     PddtConfig,
     PddtOverflowError,
@@ -38,16 +38,16 @@ def oracle_set(n, threshold):
 class TestBuild:
     def test_threshold_one_only_certain_differentials(self):
         t = build_pddt(PddtConfig(4, 1.0))
-        assert all(d.hw == 0 for d in t)
-        assert (0, 0, 0) in t.triples()
-        assert t.triples() == oracle_set(4, 1.0)
+        assert all(hw == 0 for *_, hw in node_rows(t))
+        assert (0, 0, 0) in triple_set(t)
+        assert triple_set(t) == oracle_set(4, 1.0)
 
     @pytest.mark.parametrize("threshold", [0.5, 0.25, 0.1])
     def test_exhaustive_equivalence_n4(self, threshold):
         t = build_pddt(PddtConfig(4, threshold))
-        assert t.triples() == oracle_set(4, threshold)
-        for d in t:
-            assert d.dp >= threshold
+        assert triple_set(t) == oracle_set(4, threshold)
+        for *_, hw in node_rows(t):
+            assert 2.0 ** -hw >= threshold
 
     def test_sorted_and_deduplicated(self):
         t = build_pddt(PddtConfig(8, 0.25))
@@ -56,32 +56,22 @@ class TestBuild:
         assert len(triples) == len(set(triples))
 
     def test_threshold_nesting(self):
-        loose = build_pddt(PddtConfig(8, 0.1)).triples()
-        tight = build_pddt(PddtConfig(8, 0.5)).triples()
+        loose = triple_set(build_pddt(PddtConfig(8, 0.1)))
+        tight = triple_set(build_pddt(PddtConfig(8, 0.5)))
         assert tight <= loose
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("threshold", [1.0, 0.5, 0.1])
     def test_one_bit_words(self, threshold, workers):
         t = build_pddt(PddtConfig(1, threshold), workers=workers)
-        assert t.triples() == oracle_set(1, threshold)
-
-    def test_iterates_as_nodes_numbered_by_position(self):
-        t = build_pddt(PddtConfig(4, 0.25))
-        rows = zip(t.a.tolist(), t.b.tolist(), t.c.tolist(), t.hw.tolist())
-        assert list(t) == [DiffNode(i, a, b, c, 2.0 ** -hw, hw)
-                           for i, (a, b, c, hw) in enumerate(rows)]
+        assert triple_set(t) == oracle_set(1, threshold)
 
     def test_node_columns_invert_make_nodes(self):
         t = build_pddt(PddtConfig(4, 0.25))
-        cols = node_columns(t, 4)
+        cols = node_columns(node_rows(t), 4)
         assert cols.ids.tolist() == list(range(len(t))) and cols.word_size == 4
         for got, want in zip(cols[1:5], (t.a, t.b, t.c, t.hw)):
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
-
-    def test_node_columns_reject_dp_other_than_two_to_minus_hw(self):
-        with pytest.raises(ParameterError, match="node 3: dp 0.25 is not 2\\^-1"):
-            node_columns([DiffNode(3, 1, 1, 0, 0.25, 1)], 4)
 
     def test_worker_counts_agree(self):
         csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (1, 4)}
@@ -140,7 +130,7 @@ class TestBuild:
     def test_64_bit_words(self):
         top = 1 << 63
         t = build_pddt(PddtConfig(64, 1.0))
-        assert t.triples() == {(0, 0, 0), (0, top, top), (top, 0, top), (top, top, 0)}
+        assert triple_set(t) == {(0, 0, 0), (0, top, top), (top, 0, top), (top, top, 0)}
 
     @pytest.mark.parametrize("n", [31, 32, 33, 40])
     def test_rows_ascend_across_the_two_key_boundary(self, n):
@@ -212,8 +202,8 @@ class TestPartialDp:
 
     def test_full_prefix_matches_probability(self):
         t = build_pddt(PddtConfig(4, 0.1))
-        for d in t:
-            assert partial_dp(d.a, d.b, d.c, 4) == d.dp
+        for _i, a, b, c, hw in node_rows(t):
+            assert partial_dp(a, b, c, 4) == 2.0 ** -hw
 
     def test_monotone_chain_example(self):
         mask = lambda x, k: x & ((1 << k) - 1)
@@ -222,9 +212,9 @@ class TestPartialDp:
 
     def test_monotone_over_table_n8(self):
         t = build_pddt(PddtConfig(8, 0.1))
-        for d in t:
-            probs = [partial_dp(d.a & ((1 << k) - 1), d.b & ((1 << k) - 1),
-                                d.c & ((1 << k) - 1), k) for k in range(9)]
+        for _i, a, b, c, _hw in node_rows(t):
+            probs = [partial_dp(a & ((1 << k) - 1), b & ((1 << k) - 1),
+                                c & ((1 << k) - 1), k) for k in range(9)]
             assert all(p1 >= p2 for p1, p2 in zip(probs, probs[1:]))
 
     def test_prefix_too_wide(self):
@@ -264,12 +254,55 @@ class TestSample:
 
     def test_sample_is_subset(self, table):
         s = sample_pddt(table, SampleSpec(0.05, True, 3))
-        assert s.triples() <= table.triples()
+        assert triple_set(s) <= triple_set(table)
 
     def test_empty_table_rejected(self):
         empty = Pddt(PddtConfig(4, 0.5), [], [], [], [])
         with pytest.raises(ParameterError):
             sample_pddt(empty, SampleSpec())
+
+
+@pytest.fixture(scope="module")
+def table_n6():
+    return build_pddt(PddtConfig(6, 0.5))
+
+
+class TestSampleWithoutQuota:
+    """quota_rule=False on the n=6, threshold-0.5 table: 124 rows in 20
+    output classes of 4, 6, 10 or 14 rows."""
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.1, 0.3])
+    def test_each_class_keeps_its_rounded_share(self, table_n6, fraction):
+        s = sample_pddt(table_n6, SampleSpec(fraction, False, 5))
+        sizes = collections.Counter(table_n6.c.tolist())
+        kept = collections.Counter(s.c.tolist())
+        assert {c: kept[c] for c in sizes} == {c: round(fraction * n) for c, n in sizes.items()}
+        assert triple_set(s) <= triple_set(table_n6)
+
+    def test_classes_that_round_to_zero_vanish(self, table_n6):
+        s = sample_pddt(table_n6, SampleSpec(0.1, False, 5))
+        sizes = collections.Counter(table_n6.c.tolist())
+        # the ten classes of 4 rows round to 0.4 -> 0
+        assert set(s.c.tolist()) == {c for c, n in sizes.items() if n > 4}
+        assert len(set(s.c.tolist())) == 10
+
+    def test_no_quota_warning(self, table_n6, caplog):
+        # 20 classes exceed the 10% target of 12 rows: the quota rule warns
+        with caplog.at_level(logging.WARNING, logger="diffgraph.pddt"):
+            sample_pddt(table_n6, SampleSpec(0.1, True, 5))
+            assert "quota (20 output classes)" in caplog.text
+            caplog.clear()
+            sample_pddt(table_n6, SampleSpec(0.1, False, 5))
+        assert caplog.records == []
+
+    def test_same_seed_same_bytes(self, table_n6):
+        first, again, other = (sample_pddt(table_n6, SampleSpec(0.3, False, seed)).to_csv()
+                               for seed in (9, 9, 10))
+        assert first == again and first != other
+
+    def test_sample_of_no_row_refused(self, table_n6):
+        with pytest.raises(ParameterError, match="^sample fraction 0.001 keeps none of 124 rows$"):
+            sample_pddt(table_n6, SampleSpec(0.001, False, 0))
 
 
 class TestStats:
