@@ -12,7 +12,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths
@@ -72,10 +72,11 @@ def _playout(graph: DiffGraph, start: int, rng: random.Random,
     Drawing k with `rng.choice(range(n))` consumes the RNG exactly as
     choosing from the list of the n unvisited entries would.
     """
+    dp, successors = graph.dp, graph.successors
     path = [start]
-    total = graph.dp[start]
+    total = dp[start]
     while len(path) - 1 < max_depth:
-        row = graph.successors[path[-1]]
+        row = successors[path[-1]]
         taken = []
         for w in path:
             i = bisect_left(row, w)
@@ -90,11 +91,11 @@ def _playout(graph: DiffGraph, start: int, rng: random.Random,
                 break
             k += 1
         path.append(row[k])
-        total += graph.dp[row[k]]
+        total += dp[row[k]]
     return path, total
 
 
-def _candidate(graph: DiffGraph, path: List[int],
+def _candidate(dp: Dict[int, float], path: List[int],
                target: Optional[int]) -> Optional[PathResult]:
     """The scored path a walk contributes: its prefix up to the target
     node when one is set, otherwise the complete walk."""
@@ -102,7 +103,7 @@ def _candidate(graph: DiffGraph, path: List[int],
         if target not in path:
             return None
         path = path[: path.index(target) + 1]
-    total = sum(map(graph.dp.__getitem__, path))
+    total = sum(map(dp.__getitem__, path))
     return PathResult(tuple(path), total)
 
 
@@ -113,8 +114,9 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     playout i - 1 left it, so the first k playouts of a search are the
     same whatever `config.playouts` is.
     """
+    dp = graph.dp
     for node_id, name in ((start, "start"), (config.target_node, "target")):
-        if node_id is not None and node_id not in graph.dp:
+        if node_id is not None and node_id not in dp:
             raise ParameterError(f"{name} node {node_id} not in graph")
     t0 = time.perf_counter()
     best: Optional[PathResult] = None
@@ -126,7 +128,7 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
         path, total = _playout(graph, start, rng, config.max_depth)
         steps += len(path) - 1
         walk_totals.append(total)
-        cand = _candidate(graph, path, config.target_node)
+        cand = _candidate(dp, path, config.target_node)
         if cand is not None and len(cand.node_sequence) > 1:
             if best is None or cand.rank_key < best.rank_key:
                 best = cand

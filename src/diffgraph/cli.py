@@ -69,7 +69,8 @@ def _cmd_pddt_sample(args) -> int:
     table = Pddt.from_csv(Path(args.input).read_bytes())
     sample = pddtmod.sample_pddt(table, SampleSpec(args.fraction, not args.no_quota, args.seed))
     with open(args.out, "wb") as out:
-        out.write(f"# seed={args.seed} fraction={args.fraction}\n".encode("utf-8"))
+        quota = " quota=0" if args.no_quota else ""
+        out.write(f"# seed={args.seed} fraction={args.fraction}{quota}\n".encode("utf-8"))
         sample.write_csv(out)
     print(f"sampled {len(sample)} of {len(table)} entries to {args.out}")
     return EXIT_OK
@@ -91,7 +92,7 @@ def _cmd_graph_build(args) -> int:
     g = graphmod.build_graph(table, _parse_rule(args))
     Path(args.nodes_out).write_bytes(graphmod.to_nodes_csv(g))
     Path(args.edges_out).write_bytes(graphmod.to_edges_csv(g))
-    print(f"graph: {len(g.dp)} nodes, {len(g.edges)} edges")
+    print(f"graph: {len(g.columns.ids)} nodes, {len(g.edges)} edges")
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -91,36 +92,77 @@ EDGE_RULE_PRESETS = {"default": default_edge_rule, "printed": printed_edge_rule}
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `columns` holds the nodes and `dp` maps each id to 2^-hw, both in node
-    order. `successors[u]` and `predecessors[v]` are ascending id rows with
-    duplicate edges removed; `edges` keeps every edge, duplicates included.
+    `columns` holds the nodes and `edges` every edge, sorted, duplicates
+    included. The rows that search reads are built on first read: `dp`
+    maps each id to 2^-hw, and `successors[u]` and `predecessors[v]` are
+    ascending id rows with duplicate edges removed, all in node order. The
+    nodes without an edge in one direction share one empty row there,
+    which nothing may grow.
     """
 
     def __init__(self, columns: DifferentialColumns, edges: Sequence[Tuple[int, int, str]]):
         self.columns = columns
         self.word_size = columns.word_size
         self.edges: List[Tuple[int, int, str]] = sorted(edges)
-        ids = columns.ids.tolist()
-        self.dp: Dict[int, float] = dict(zip(ids, map(DP_OF_HW.__getitem__, columns.hw.tolist())))
-        if len(self.dp) != len(ids):
+        ids = np.sort(columns.ids)
+        if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
-        self.successors: Dict[int, List[int]] = {u: [] for u in ids}
-        self.predecessors: Dict[int, List[int]] = {u: [] for u in ids}
-        # edges are sorted, so every row fills in ascending order and a
-        # duplicate (src, dst) pair follows its first copy directly
+        try:
+            dangling = ~(np.isin(_edge_ids(self.edges, 0), ids)
+                         & np.isin(_edge_ids(self.edges, 1), ids))
+        except OverflowError:  # an id beyond int64 is no node's
+            known = set(ids.tolist())
+            dangling = np.array([src not in known or dst not in known
+                                 for src, dst, _label in self.edges])
+        if dangling.any():
+            src, dst, _label = self.edges[int(dangling.argmax())]
+            raise ParameterError(f"edge ({src}, {dst}) references a missing node")
+
+    @cached_property
+    def dp(self) -> Dict[int, float]:
+        return dict(zip(self.columns.ids.tolist(),
+                        map(DP_OF_HW.__getitem__, self.columns.hw.tolist())))
+
+    @cached_property
+    def successors(self) -> Dict[int, List[int]]:
+        return self._rows[0]
+
+    @cached_property
+    def predecessors(self) -> Dict[int, List[int]]:
+        return self._rows[1]
+
+    @cached_property
+    def _rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """Both adjacencies, filled by one pass over the sorted edges."""
+        successors: Dict[int, List[int]] = {}
+        predecessors: Dict[int, List[int]] = {}
+        # every row fills in ascending order and a duplicate (src, dst)
+        # pair follows its first copy directly
         for src, dst, _label in self.edges:
-            row = self.successors.get(src)
-            column = self.predecessors.get(dst)
-            if row is None or column is None:
-                raise ParameterError(f"edge ({src}, {dst}) references a missing node")
-            if not row or row[-1] != dst:
+            row = successors.get(src)
+            if row is None:
+                successors[src] = [dst]
+            elif row[-1] != dst:
                 row.append(dst)
+            else:
+                continue
+            column = predecessors.get(dst)
+            if column is None:
+                predecessors[dst] = [src]
+            else:
                 column.append(src)
+        empty = dict.fromkeys(self.columns.ids.tolist(), [])  # one shared row
+        return empty | successors, empty | predecessors  # in node order
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
                 and self.word_size == other.word_size
                 and all(map(np.array_equal, self.columns[:5], other.columns[:5])))
+
+
+def _edge_ids(edges: List[Tuple[int, int, str]], k: int) -> np.ndarray:
+    """The edges' sources (k = 0) or targets (k = 1) as int64."""
+    return np.fromiter(map(operator.itemgetter(k), edges), np.int64, len(edges))
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
@@ -154,23 +196,20 @@ class GraphStats:
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
-    ids = list(graph.dp)
+    ids = graph.columns.ids.tolist()
     in_deg = dict.fromkeys(ids, 0)
     out_deg = dict.fromkeys(ids, 0)
-    for src, dst, _label in graph.edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
-    max_in = max(in_deg.values(), default=0)
-    hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
-
     # undirected neighbour sets, self excluded, of the nodes that have an
     # edge to another node; every other node is a component of its own
     adj: Dict[int, Set[int]] = {}
-    for u, row in graph.successors.items():
-        for v in row:
-            if u != v:
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
+    for src, dst, _label in graph.edges:
+        out_deg[src] += 1
+        in_deg[dst] += 1
+        if src != dst:
+            adj.setdefault(src, set()).add(dst)
+            adj.setdefault(dst, set()).add(src)
+    max_in = max(in_deg.values(), default=0)
+    hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
 
     seen: Set[int] = set()
     components = []
@@ -241,23 +280,24 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     it; a partial path is dropped as soon as its last node cannot reach
     dst in the hops it has left. `work`, when given, is filled in.
     """
+    dp = graph.dp
     for node_id, name in ((src, "src"), (dst, "dst")):
-        if node_id not in graph.successors:
+        if node_id not in dp:
             raise ParameterError(f"{name} node {node_id} not in graph")
     if max_hops < 1:
         raise ParameterError(f"max_hops {max_hops} < 1")
     if limit < 1:
         raise ParameterError(f"limit {limit} < 1")
-    dp = graph.dp
     if src == dst:
         return [PathResult((src,), dp[src])]
 
+    successors, predecessors = graph.successors, graph.predecessors
     dist = {dst: 0}
     frontier = [dst]
     for d in range(1, max_hops + 1):
         reached = []
         for v in frontier:
-            for u in graph.predecessors[v]:
+            for u in predecessors[v]:
                 if u not in dist:
                     dist[u] = d
                     reached.append(u)
@@ -265,7 +305,6 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     if src not in dist:
         return []
 
-    successors = graph.successors
     path = [src]
     on_path = {src}
     layer: List[PathResult] = []
@@ -319,13 +358,13 @@ _EDGES_ROW = ((Dec(0), b",", Dec(1)), ",{label}\n")
 
 def _edge_lines(pieces, tail: str, edges: List[Tuple[int, int, str]]) -> Lines:
     """One line per edge, in edge order; each label's tail is formatted once."""
-    def column(k):
-        return map(operator.itemgetter(k), edges)
+    def labels():
+        return map(operator.itemgetter(2), edges)
 
-    index = {label: k for k, label in enumerate(dict.fromkeys(column(2)))}
-    return Lines(pieces, [np.fromiter(column(k), np.int64, len(edges)) for k in (0, 1)],
+    index = {label: k for k, label in enumerate(dict.fromkeys(labels()))}
+    return Lines(pieces, [_edge_ids(edges, 0), _edge_ids(edges, 1)],
                  [tail.format(label=label).encode("utf-8") for label in index],
-                 np.fromiter(map(index.__getitem__, column(2)), np.intp, len(edges)))
+                 np.fromiter(map(index.__getitem__, labels()), np.intp, len(edges)))
 
 
 def to_edges_csv(graph: DiffGraph) -> bytes:

@@ -561,8 +561,12 @@ def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
     take the same parents, which are gathered once per parity; each
     triple's children fill their slice of the level, allocated once at its
     size, and a level above max_elements rows is refused before that.
+    `frontier` is a list of the level below's columns; it is emptied once
+    their parents are gathered, so that level is freed before the new one
+    is allocated.
     """
     a, b, c, w, state = frontier
+    dtypes = [col.dtype for col in frontier]
     heavy = (state == _NEQ) & (w < max_weight)
     parents = [np.flatnonzero(heavy | (state == p)) for p in (_EQ0, _EQ1)]
     size = 4 * sum(map(len, parents))
@@ -570,7 +574,9 @@ def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
         raise PddtOverflowError(size, max_elements)
     w = w + heavy
     parents = [(a[idx], b[idx], c[idx], w[idx]) for idx in parents]
-    level = [np.empty(size, dtype=col.dtype) for col in frontier]
+    frontier.clear()
+    del a, b, c, w, state, heavy
+    level = [np.empty(size, dtype=dtype) for dtype in dtypes]
     lo = 0
     for x, y, z in product((0, 1), repeat=3):
         pa, pb, pc, pw = parents[x ^ y ^ z]
@@ -580,11 +586,12 @@ def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
         level[3][rows] = pw
         level[4][rows] = x if x == y == z else _NEQ
         lo = rows.stop
-    return tuple(level)
+    return level
 
 
 def _build_branch(frontier, config: PddtConfig):
-    """Expand a frontier of bit-0 prefixes over bit positions 1..n-1."""
+    """Expand a frontier of bit-0 prefixes, a list of columns that
+    `_expand_level` empties, over bit positions 1..n-1."""
     for bit in range(1, config.word_size):
         frontier = _expand_level(frontier, bit, config.max_weight, config.max_elements)
     return frontier[:4]
@@ -609,9 +616,9 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     harness, which passes it.
     """
     zero = np.zeros(1, dtype=np.uint64)
-    empty = (zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8))
+    empty = [zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8)]
     level = _expand_level(empty, 0, config.max_weight, config.max_elements)
-    fragments = [_build_branch(tuple(col[k:k + 1] for col in level), config)
+    fragments = [_build_branch([col[k:k + 1] for col in level], config)
                  for k in range(len(level[0]))]
     rows = sum(len(fragment[0]) for fragment in fragments)
     if rows > config.max_elements:

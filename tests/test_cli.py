@@ -71,6 +71,14 @@ class TestPddtCommands:
             "--seed", 42, "--out", sample)
         assert sample.read_text().startswith("# seed=42 fraction=0.05\n")
 
+    def test_no_quota_sample_header_says_so(self, tmp_path):
+        table = tmp_path / "t.csv"
+        sample = tmp_path / "s.csv"
+        run(tmp_path, "pddt", "build", "--n", 8, "--threshold", 0.1, "--out", table)
+        assert run(tmp_path, "pddt", "sample", "--input", table, "--fraction", 0.01,
+                   "--seed", 3, "--no-quota", "--out", sample) == 0
+        assert sample.read_text().startswith("# seed=3 fraction=0.01 quota=0\nid,")
+
     def test_sample_of_no_row_is_runtime_error(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         sample = tmp_path / "s.csv"
@@ -177,6 +185,19 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.err == "error: line 2: expected 3 comma-separated fields, got 2\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "graphml", "dot", "cypher"])
+    def test_dangling_edge_is_runtime_error(self, tmp_path, capsys, fmt):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n")
+        edges.write_text("src_id,dst_id,label\n0,1,E\n0,99999,E\n")
+        assert run(tmp_path, "graph", "export", "--nodes", nodes, "--edges", edges,
+                   "--format", fmt, "--out", tmp_path / f"g.{fmt}") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: edge (0, 99999) references a missing node\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "n.csv"]
 
     def test_inline_predicates(self, tmp_path, capsys):
         table = tmp_path / "t.csv"

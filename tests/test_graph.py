@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, make_diamond, make_hub_sample, make_two_node_graph, node_rows,
                       traced_peak)
+from diffgraph.bench import McsConfig, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
     EXPORT_FORMATS,
@@ -356,12 +357,56 @@ class TestAdjacency:
         with pytest.raises(ParameterError, match="duplicate node ids"):
             DiffGraph(node_columns(nodes, 4), [])
 
+    def test_dangling_edge_rejected_first_in_sorted_order(self):
+        nodes = [(i, i, i, 0, 1) for i in (3, 0, 2)]
+        edges = [(3, 0, "E"), (2, 9, "E"), (0, 7, "E"), (5, 2, "E")]
+        with pytest.raises(ParameterError, match=r"^edge \(0, 7\) references a missing node$"):
+            DiffGraph(node_columns(nodes, 4), edges)
+
+    @pytest.mark.parametrize("big", [2**63, 2**64, -2**63 - 1])
+    def test_id_beyond_int64_is_a_dangling_edge(self, big):
+        nodes = [(i, i, i, 0, 1) for i in (0, 2)]
+        with pytest.raises(ParameterError, match=rf"^edge \(0, {big}\) references a missing node$"):
+            DiffGraph(node_columns(nodes, 4), [(2, 2, "E"), (0, big, "E")])
+        with pytest.raises(ParameterError, match=r"^edge \(0, 9\) references a missing node$"):
+            DiffGraph(node_columns(nodes, 4), [(2, big, "E"), (0, 9, "E")])
+
     @given(any_digraphs())
     def test_rows_are_the_sorted_edge_sets(self, g):
         successors, predecessors = reference_adjacency(g)
         for u in successors:
             assert g.successors[u] == sorted(set(successors[u]))
             assert g.predecessors[u] == sorted(set(predecessors[u]))
+
+
+class TestLazyRows:
+    """Build, stats and exports never build the rows that search reads."""
+
+    @staticmethod
+    def sample():
+        # every third node has output 5, so no out-edge; only hw 1 nodes are targets
+        n = 40
+        return Pddt(PddtConfig(16, 0.1), range(n), range(n),
+                    [5 * (i % 3 == 0) for i in range(n)], [1 + (i % 7 > 0) for i in range(n)])
+
+    def test_rows_built_on_first_read(self):
+        built = build_graph(self.sample(), default_edge_rule())
+        read = from_csv(to_nodes_csv(built), to_edges_csv(built))
+        for g in (built, read):
+            graph_stats(g)
+            for fmt in EXPORT_FORMATS:
+                export_graph(g, fmt)
+            assert {"dp", "successors", "predecessors"}.isdisjoint(vars(g))
+
+            find_optimal_paths(g, 1, 7, 3, 5)
+            mcs_search(g, 1, McsConfig(20, seed=1, max_depth=3))
+            successors, predecessors = reference_adjacency(g)
+            assert g.successors == {u: sorted(set(row)) for u, row in successors.items()}
+            assert g.predecessors == {u: sorted(set(row)) for u, row in predecessors.items()}
+            assert g.dp == {i: 2.0 ** -hw for i, *_, hw in node_rows(g.columns)}
+            for rows, reference in ((g.successors, successors), (g.predecessors, predecessors)):
+                edgeless = [u for u, row in reference.items() if not row]
+                assert edgeless and all(rows[u] == [] for u in edgeless)
 
 
 class TestStats:

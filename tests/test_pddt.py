@@ -500,6 +500,18 @@ class TestMemory:
         ids_bytes = 8 * len(back)
         assert peak < 2.5 * (column_bytes(back) + ids_bytes)
 
+    def test_branch_frees_the_level_below(self):
+        # a level holds its gathered parents and itself, not the level below
+        config = PddtConfig(16, 0.1)
+        zero = np.zeros(1, dtype=np.uint64)
+        root = [zero, zero, zero, np.zeros(1, dtype=np.uint16),
+                np.full(1, pddt_module._EQ0, dtype=np.uint8)]
+        level = pddt_module._expand_level(root, 0, config.max_weight, config.max_elements)
+        first = [col[:1].copy() for col in level]
+        branch, peak = traced_peak(lambda: pddt_module._build_branch(first, config))
+        assert len(branch[0]) == 327_940
+        assert peak < 1.5 * sum(col.nbytes for col in branch)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_build_merges_without_copies(self, workers):
         built, peak = traced_peak(lambda: build_pddt(PddtConfig(16, 0.1), workers=workers))
