@@ -7,19 +7,20 @@ database.  All queries are read-only and deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
+from .pddt import (DP_OF_HW, Dec, DifferentialColumns, Fields, Hex, Pddt, Lines,
                    decode_differential_csv, differential_csv, differential_lines,
                    join_lines, split_lines)
 
@@ -50,15 +51,42 @@ class Predicate:
         if self.op not in _OPS:
             raise RuleError(f"unknown operator {self.op!r}; expected one of {sorted(_OPS)}")
 
-    def select(self, columns: DifferentialColumns) -> List[int]:
-        """Ids of the rows that satisfy the predicate, in row order. Values
-        are compared as Python ints and floats, exactly: a uint64 array
-        compared with a float is not exact above 2^53."""
-        values = getattr(columns, _NODE_COLUMNS[self.field]).tolist()
+    def select(self, columns: DifferentialColumns) -> np.ndarray:
+        """Ids of the rows that satisfy the predicate, in row order.
+
+        Values are compared exactly, as Python numbers compare: an integer
+        x is x <= v when x <= floor(v), x >= v when x >= ceil(v), and x = v
+        only for an integral v, so each comparison runs against an exact
+        bound in the column's own dtype. A weight is 2^-hw, so each hw's
+        outcome is one Python comparison."""
+        column = getattr(columns, _NODE_COLUMNS[self.field])
         if self.field == "weight":
-            values = map(DP_OF_HW.__getitem__, values)
-        return list(compress(columns.ids.tolist(),
-                             map(_OPS[self.op], values, repeat(self.value))))
+            holds = np.array([_OPS[self.op](dp, self.value) for dp in DP_OF_HW])
+            return columns.ids[holds[column]]
+        low, high = _integer_bounds(self.op, self.value, np.iinfo(column.dtype))
+        if low > high:
+            return columns.ids[:0]
+        to_dtype = column.dtype.type
+        return columns.ids[(column >= to_dtype(low)) & (column <= to_dtype(high))]
+
+
+def _integer_bounds(op: str, value, info: np.iinfo) -> Tuple[int, int]:
+    """The least and greatest integer in info's range that satisfy
+    `x op value`; low > high when none does."""
+    if value != value:  # nan satisfies no comparison
+        return 1, 0
+    # clamped one past the range, an infinite or huge value keeps its outcome
+    value = min(max(value, info.min - 1), info.max + 1)
+    low, high = info.min, info.max
+    if op == "<=":
+        high = math.floor(value)
+    elif op == ">=":
+        low = math.ceil(value)
+    elif value == math.floor(value):
+        low = high = math.floor(value)
+    else:
+        return 1, 0
+    return max(low, info.min), min(high, info.max)
 
 
 @dataclass(frozen=True)
@@ -89,34 +117,93 @@ def printed_edge_rule() -> EdgeRule:
 EDGE_RULE_PRESETS = {"default": default_edge_rule, "printed": printed_edge_rule}
 
 
+@dataclass(frozen=True, eq=False)
+class Edges:
+    """Every edge of a graph as columns, duplicates included: edge i runs
+    from src[i] to dst[i] under labels[codes[i]]. The edges are in the
+    order of their sorted (src, dst, label) tuples, and `labels` holds the
+    labels in use, sorted, so that code order is label order. Iterating
+    gives those tuples."""
+
+    src: np.ndarray    # int64
+    dst: np.ndarray    # int64
+    codes: np.ndarray  # intp
+    labels: Tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self) -> Iterator[Tuple[int, int, str]]:
+        return zip(self.src.tolist(), self.dst.tolist(),
+                   map(self.labels.__getitem__, self.codes.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Edges) and self.labels == other.labels
+                and all(map(np.array_equal, (self.src, self.dst, self.codes),
+                            (other.src, other.dst, other.codes))))
+
+
+def _sorted_edges(src: np.ndarray, dst: np.ndarray, codes: np.ndarray,
+                  labels: Sequence[str]) -> Edges:
+    """Edges of any order, whose codes index `labels`, each label in use."""
+    by_text = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(labels), dtype=np.intp)
+    rank[by_text] = np.arange(len(labels))
+    codes = rank[codes]
+    s0, s1, d0, d1, c0, c1 = src[:-1], src[1:], dst[:-1], dst[1:], codes[:-1], codes[1:]
+    if not ((s0 < s1) | (s0 == s1) & ((d0 < d1) | (d0 == d1) & (c0 <= c1))).all():
+        order = np.lexsort((codes, dst, src))
+        src, dst, codes = src[order], dst[order], codes[order]
+    return Edges(src, dst, codes, tuple(labels[k] for k in by_text))
+
+
+class _Biclique(NamedTuple):
+    """A graph whose edges are every pair of S × T, or every pair but the
+    loops: S and T are its distinct sources and targets, sorted."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    common: np.ndarray  # S ∩ T
+    loops: bool         # whether x -> x is an edge for each x in S ∩ T
+
+    def rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """The rows of the nodes with an edge out and in: each u in S
+        shares the one row T, and each v in T the one row S, but for the
+        nodes of S ∩ T without their loop."""
+        sources, targets = self.sources.tolist(), self.targets.tolist()
+        successors = dict.fromkeys(sources, targets)
+        predecessors = dict.fromkeys(targets, sources)
+        if not self.loops:
+            for x in self.common.tolist():
+                successors[x] = [v for v in targets if v != x]
+                predecessors[x] = [u for u in sources if u != x]
+        return successors, predecessors
+
+
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
     `columns` holds the nodes and `edges` every edge, sorted, duplicates
-    included. The rows that search reads are built on first read: `dp`
-    maps each id to 2^-hw, and `successors[u]` and `predecessors[v]` are
-    ascending id rows with duplicate edges removed, all in node order. The
-    nodes without an edge in one direction share one empty row there,
-    which nothing may grow.
+    included; the edges are an Edges record or (src, dst, label) tuples.
+    The rows that search reads are built on first read: `dp` maps each id
+    to 2^-hw, and `successors[u]` and `predecessors[v]` are ascending id
+    rows with duplicate edges removed, all in node order. Rows may be
+    shared between nodes, so nothing may grow them.
     """
 
-    def __init__(self, columns: DifferentialColumns, edges: Sequence[Tuple[int, int, str]]):
+    def __init__(self, columns: DifferentialColumns,
+                 edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
         self.columns = columns
         self.word_size = columns.word_size
-        self.edges: List[Tuple[int, int, str]] = sorted(edges)
         ids = np.sort(columns.ids)
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
-        try:
-            dangling = ~(np.isin(_edge_ids(self.edges, 0), ids)
-                         & np.isin(_edge_ids(self.edges, 1), ids))
-        except OverflowError:  # an id beyond int64 is no node's
-            known = set(ids.tolist())
-            dangling = np.array([src not in known or dst not in known
-                                 for src, dst, _label in self.edges])
+        self.edges = edges if isinstance(edges, Edges) else _edges_of_rows(edges, ids)
+        src, dst = self.edges.src, self.edges.dst
+        dangling = ~(np.isin(src, ids) & np.isin(dst, ids))
         if dangling.any():
-            src, dst, _label = self.edges[int(dangling.argmax())]
-            raise ParameterError(f"edge ({src}, {dst}) references a missing node")
+            i = int(dangling.argmax())
+            raise ParameterError(f"edge ({src[i]}, {dst[i]}) references a missing node")
 
     @cached_property
     def dp(self) -> Dict[int, float]:
@@ -132,13 +219,47 @@ class DiffGraph:
         return self._rows[1]
 
     @cached_property
+    def _biclique(self) -> Optional[_Biclique]:
+        """The graph as a biclique, when it is one: its distinct (src, dst)
+        pairs number |S|·|T|, or |S|·|T| − |S ∩ T| with no loop."""
+        src, dst = self.edges.src, self.edges.dst
+        src_step = src[1:] != src[:-1]
+        new_src = np.flatnonzero(src_step) + 1
+        sources = src[np.concatenate(([0], new_src))] if len(src) else src
+        # the first two sources of a biclique reach every target between them
+        targets = np.unique(dst[:new_src[1]] if len(new_src) > 1 else dst)
+        if not np.isin(dst, targets).all():
+            return None
+        common = np.intersect1d(sources, targets, assume_unique=True)
+        # a duplicate (src, dst) pair follows its first copy directly
+        pairs = min(len(src), 1) + np.count_nonzero(src_step | (dst[1:] != dst[:-1]))
+        full = len(sources) * len(targets)
+        if pairs == full:
+            return _Biclique(sources, targets, common, True)
+        if pairs == full - len(common) and not (src == dst).any():
+            return _Biclique(sources, targets, common, False)
+        return None
+
+    @cached_property
     def _rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """Both adjacencies, filled by one pass over the sorted edges."""
+        """Both adjacencies; every node without an edge in one direction
+        shares one empty row there."""
+        biclique = self._biclique
+        successors, predecessors = self._edge_rows() if biclique is None else biclique.rows()
+        rows_out = dict.fromkeys(self.dp, [])  # every id, in node order
+        rows_in = rows_out.copy()
+        rows_out.update(successors)
+        rows_in.update(predecessors)
+        return rows_out, rows_in
+
+    def _edge_rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """The rows of the nodes with an edge out and in, filled by one
+        pass over the sorted edges."""
         successors: Dict[int, List[int]] = {}
         predecessors: Dict[int, List[int]] = {}
         # every row fills in ascending order and a duplicate (src, dst)
         # pair follows its first copy directly
-        for src, dst, _label in self.edges:
+        for src, dst in zip(self.edges.src.tolist(), self.edges.dst.tolist()):
             row = successors.get(src)
             if row is None:
                 successors[src] = [dst]
@@ -151,8 +272,7 @@ class DiffGraph:
                 predecessors[dst] = [src]
             else:
                 column.append(src)
-        empty = dict.fromkeys(self.columns.ids.tolist(), [])  # one shared row
-        return empty | successors, empty | predecessors  # in node order
+        return successors, predecessors
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
@@ -160,9 +280,18 @@ class DiffGraph:
                 and all(map(np.array_equal, self.columns[:5], other.columns[:5])))
 
 
-def _edge_ids(edges: List[Tuple[int, int, str]], k: int) -> np.ndarray:
-    """The edges' sources (k = 0) or targets (k = 1) as int64."""
-    return np.fromiter(map(operator.itemgetter(k), edges), np.int64, len(edges))
+def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edges:
+    """The Edges of (src, dst, label) rows, among nodes of the sorted ids."""
+    rows = sorted(rows)
+    try:
+        src, dst = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
+    except OverflowError:  # an id beyond int64 is no node's
+        known = set(ids.tolist())
+        src, dst, _label = next(row for row in rows if not {row[0], row[1]} <= known)
+        raise ParameterError(f"edge ({src}, {dst}) references a missing node") from None
+    labels = sorted({row[2] for row in rows})
+    code = {label: k for k, label in enumerate(labels)}
+    return Edges(src, dst, np.array([code[row[2]] for row in rows], dtype=np.intp), tuple(labels))
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
@@ -171,14 +300,17 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
         raise ParameterError("cannot build a graph from an empty sample")
     columns = DifferentialColumns(np.arange(len(sample)), sample.a, sample.b, sample.c,
                                   sample.hw, sample.config.word_size)
+    # both id arrays ascend, so the product is in edge order
     sources = rule.source_predicate.select(columns)
     targets = rule.target_predicate.select(columns)
-    edges = [
-        (u, v, rule.relation_label)
-        for u in sources for v in targets
-        if rule.allow_self_loops or u != v
-    ]
-    return DiffGraph(columns, edges)
+    src = np.repeat(sources, len(targets))
+    dst = np.tile(targets, len(sources))
+    if not rule.allow_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    labels = (rule.relation_label,) if len(src) else ()
+    codes = np.broadcast_to(np.intp(0), src.shape)  # one label: a read-only view of one 0
+    return DiffGraph(columns, Edges(src, dst, codes, labels))
 
 
 # --- statistics --------------------------------------------------------
@@ -196,20 +328,33 @@ class GraphStats:
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
-    ids = graph.columns.ids.tolist()
-    in_deg = dict.fromkeys(ids, 0)
-    out_deg = dict.fromkeys(ids, 0)
+    ids = graph.columns.ids
+    # degrees count duplicate edges; edge ends become node positions
+    order = np.argsort(ids)
+    out_deg, in_deg = (np.bincount(order[np.searchsorted(ids, ends, sorter=order)],
+                                   minlength=len(ids))
+                       for ends in (graph.edges.src, graph.edges.dst))
+    max_in = int(in_deg.max(initial=0))
+    hubs = np.sort(ids[in_deg == max_in]).tolist() if max_in > 0 else []
+    id_list = ids.tolist()
+    biclique = graph._biclique
+    if biclique is None:
+        components, clustering = _shape(id_list, graph.edges)
+    else:
+        components, clustering = _biclique_shape(ids, id_list, biclique)
+    return GraphStats(len(ids), len(graph.edges), dict(zip(id_list, in_deg.tolist())),
+                      dict(zip(id_list, out_deg.tolist())), hubs, components, clustering)
+
+
+def _shape(ids: List[int], edges: Edges) -> Tuple[List[List[int]], Dict[int, float]]:
+    """Components and clustering of any graph, from its neighbour sets."""
     # undirected neighbour sets, self excluded, of the nodes that have an
     # edge to another node; every other node is a component of its own
     adj: Dict[int, Set[int]] = {}
-    for src, dst, _label in graph.edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
+    for src, dst in zip(edges.src.tolist(), edges.dst.tolist()):
         if src != dst:
             adj.setdefault(src, set()).add(dst)
             adj.setdefault(dst, set()).add(src)
-    max_in = max(in_deg.values(), default=0)
-    hubs = sorted(i for i, d in in_deg.items() if d == max_in and max_in > 0)
 
     seen: Set[int] = set()
     components = []
@@ -237,9 +382,39 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
         if k >= 2:
             links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
             clustering[x] = 2.0 * links / (k * (k - 1))
+    return components, clustering
 
-    return GraphStats(len(ids), len(graph.edges), in_deg, out_deg,
-                      hubs, components, clustering)
+
+def _biclique_shape(ids: np.ndarray, id_list: List[int],
+                    biclique: _Biclique) -> Tuple[List[List[int]], Dict[int, float]]:
+    """Components and clustering of a biclique in closed form.
+
+    S ∪ T is one component, since every node of it has an edge to another
+    one unless S = T = {x}, and every other node is a component of its
+    own. A node's neighbours, self excluded, are T, S or (S ∪ T) ∖ {x};
+    of them, every pair is linked but those within S ∖ T and within T ∖ S.
+    """
+    in_s, in_t = np.isin(ids, biclique.sources), np.isin(ids, biclique.targets)
+    c = len(biclique.common)
+    a, b = len(biclique.sources) - c, len(biclique.targets) - c
+    clustering = np.zeros(len(ids))
+    clustering[in_s & ~in_t] = _clustering(0, b, c)
+    clustering[in_t & ~in_s] = _clustering(a, 0, c)
+    if c:
+        clustering[in_s & in_t] = _clustering(a, b, c - 1)
+    joined = in_s | in_t
+    components = [[x] for x in ids[~joined].tolist()]
+    if joined.any():
+        components.insert(int(joined.argmax()), np.sort(ids[joined]).tolist())
+    return components, dict(zip(id_list, clustering.tolist()))
+
+
+def _clustering(a: int, b: int, c: int) -> float:
+    """Clustering of a biclique node whose neighbours are a nodes of S ∖ T,
+    b of T ∖ S and c of S ∩ T."""
+    k = a + b + c
+    links = a * b + a * c + b * c + c * (c - 1) // 2
+    return 2.0 * links / (k * (k - 1)) if k >= 2 else 0.0
 
 
 # --- path search -------------------------------------------------------
@@ -356,50 +531,57 @@ def to_nodes_csv(graph: DiffGraph) -> bytes:
 _EDGES_ROW = ((Dec(0), b",", Dec(1)), ",{label}\n")
 
 
-def _edge_lines(pieces, tail: str, edges: List[Tuple[int, int, str]]) -> Lines:
+def _edge_lines(pieces, tail: str, edges: Edges) -> Lines:
     """One line per edge, in edge order; each label's tail is formatted once."""
-    def labels():
-        return map(operator.itemgetter(2), edges)
-
-    index = {label: k for k, label in enumerate(dict.fromkeys(labels()))}
-    return Lines(pieces, [_edge_ids(edges, 0), _edge_ids(edges, 1)],
-                 [tail.format(label=label).encode("utf-8") for label in index],
-                 np.fromiter(map(index.__getitem__, labels()), np.intp, len(edges)))
+    return Lines(pieces, [edges.src, edges.dst],
+                 [tail.format(label=label).encode("utf-8") for label in edges.labels], edges.codes)
 
 
 def to_edges_csv(graph: DiffGraph) -> bytes:
     return join_lines([b"src_id,dst_id,label\n", _edge_lines(*_EDGES_ROW, graph.edges)])
 
 
-# byte -> whether it may start, or follow the start of, a relation label
-_LABEL_HEAD = np.array([_LABEL.fullmatch(chr(x)) is not None for x in range(256)])
-_LABEL_TAIL = np.array([_LABEL.fullmatch("_" + chr(x)) is not None for x in range(256)])
-
-
-def _read_edges(data: bytes) -> List[Tuple[int, int, str]]:
-    """The (src, dst, label) rows of an edges CSV, in file order."""
-    src, dst, codes = [], [], []
+def _read_edges(data: bytes) -> Edges:
+    """The edges of an edges CSV."""
+    # one row at most per line; the columns are filled chunk by chunk
+    capacity = data.count(b"\n") + 1
+    out = [np.empty(capacity, dtype=t) for t in (np.int64, np.int64, np.intp)]
+    rows = 0
     names: Dict[bytes, int] = {}  # label -> its index, in first-seen order
     for lines in split_lines(data, b"src_id,", 3):
-        src.append(lines.ids(0, "a decimal id"))
-        dst.append(lines.ids(1, "a decimal id"))
-        # labels of one length are rows of one byte matrix
-        start, length = lines.starts[2], lines.ends[2] - lines.starts[2]
-        bad = length == 0
-        code = np.zeros(len(length), dtype=np.intp)
-        for size in np.unique(length[~bad]).tolist():
-            rows = np.flatnonzero(length == size)
-            text = np.lib.stride_tricks.sliding_window_view(lines.buf, size)[start[rows]]
-            bad[rows] = ~_LABEL_HEAD[text[:, 0]] | ~_LABEL_TAIL[text[:, 1:]].all(axis=1)
-            distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
-            found = [names.setdefault(bytes(label), len(names)) for label in distinct]
-            code[rows] = np.array(found)[inverse]
-        lines.check(bad, 2, f"a label matching {_LABEL.pattern}")
+        parts = [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
+                 _label_codes(lines, names)]
         lines.raise_first()
-        codes.append(code)
-    labels = [name.decode("ascii") for name in names]
-    return list(zip(np.concatenate(src).tolist(), np.concatenate(dst).tolist(),
-                    map(labels.__getitem__, np.concatenate(codes).tolist())))
+        for column, part in zip(out, parts):
+            column[rows:rows + len(part)] = part
+        rows += len(part)
+        del lines, parts  # freed before the next chunk is split
+    return _sorted_edges(*(column[:rows] for column in out),
+                         [name.decode("ascii") for name in names])
+
+
+def _label_codes(lines: Fields, names: Dict[bytes, int]) -> np.ndarray:
+    """Each line's label as its index in `names`, which takes in the labels
+    it does not hold; the first label that is no identifier is noted."""
+    # labels of one length are rows of one byte matrix
+    start, length = lines.starts[2], lines.ends[2] - lines.starts[2]
+    bad = length == 0
+    codes = np.zeros(len(length), dtype=np.intp)
+    for size in np.unique(length[~bad]).tolist():
+        at = np.flatnonzero(length == size)
+        text = np.lib.stride_tricks.sliding_window_view(lines.buf, size)[start[at]]
+        if (text == text[0]).all():  # a file of one label
+            distinct, inverse = [text[0].tobytes()], np.zeros(len(at), dtype=np.intp)
+        else:
+            distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
+            distinct = distinct.tolist()
+        # bytes_ values drop NUL bytes at the end, so such a label is short
+        valid = [len(label) == size and _LABEL.fullmatch(label.decode("latin-1")) is not None
+                 for label in distinct]
+        bad[at] = ~np.array(valid)[inverse]
+        codes[at] = np.array([names.setdefault(label, len(names)) for label in distinct])[inverse]
+    lines.check(bad, 2, f"a label matching {_LABEL.pattern}")
+    return codes
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:

@@ -163,7 +163,7 @@ class Pddt:
 
 _WRITE_CHUNK_ROWS = 1 << 16
 _WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
-_READ_CHUNK_BYTES = 1 << 20
+_READ_CHUNK_BYTES = 1 << 19
 
 _MAX_HEX_DIGITS = 16   # a uint64 column
 _MAX_ID_DIGITS = 18    # fits int64
@@ -445,8 +445,9 @@ def split_lines(data: bytes, header: bytes, n: int) -> Iterator[Fields]:
         end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
         end = len(data) if end < 0 else end + 1
         lines = Fields(np.frombuffer(data, np.uint8, end - pos, pos), lines_before, header, n)
-        yield lines
         lines_before += lines.newlines
+        yield lines
+        del lines  # a caller that drops its own reference frees the chunk before the next
         pos = end
         if pos >= len(data):
             break

@@ -15,6 +15,11 @@ def node_rows(columns) -> list:
                     columns.hw.tolist()))
 
 
+def edge_rows(graph: DiffGraph) -> list:
+    """(src, dst, label) tuples of a graph's edges, in edge order."""
+    return list(graph.edges)
+
+
 def triple_set(table: Pddt) -> set:
     """The (a, b, c) set of a table's rows."""
     return set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist()))

@@ -4,8 +4,8 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (any_digraphs, make_diamond, make_hub_sample, make_two_node_graph, node_rows,
-                      traced_peak)
+from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
+                      node_rows, traced_peak)
 from diffgraph.bench import McsConfig, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
@@ -125,6 +125,22 @@ def reference_field(row, name):
     """The rule field of an (id, a, b, c, hw) node row; weight is 2^-hw."""
     _node_id, a, b, c, hw = row
     return {"input_a": a, "input_b": b, "output": c, "weight": 2.0 ** -hw, "hw": hw}[name]
+
+
+def reference_select(predicate, columns):
+    """Ids of the rows whose field satisfies the predicate as Python values
+    compare, one row at a time, as the select once did."""
+    ops = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
+    return [row[0] for row in node_rows(columns)
+            if ops[predicate.op](reference_field(row, predicate.field), predicate.value)]
+
+
+def is_biclique(graph):
+    """Whether the distinct (src, dst) pairs are all of S x T, or all of it
+    but the loops, for S the sources and T the targets."""
+    pairs = {(src, dst) for src, dst, _label in graph.edges}
+    full = {(u, v) for u, _ in pairs for _, v in pairs}
+    return pairs == full or pairs == {(u, v) for u, v in full if u != v}
 
 
 def _hex(x, n):
@@ -274,15 +290,49 @@ class TestEdgeRule:
         ops = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
         for value in (bound, a, a + 1, c - 1, 2.0 ** -hw):
             expected = ops[op](reference_field(node, field), value)
-            assert Predicate(field, op, value).select(columns) == ([7] if expected else [])
+            assert Predicate(field, op, value).select(columns).tolist() == ([7] if expected else [])
 
 
     def test_select_is_exact_above_2_53(self):
         # 2^53 + 1 rounds to the float 2^53, so a numpy mask would match it
         columns = node_columns([(0, 2**53 + 1, 0, 0, 0)], 64)
-        assert Predicate("input_a", "=", float(2**53)).select(columns) == []
-        assert Predicate("input_a", ">=", float(2**53 + 2)).select(columns) == []
-        assert Predicate("input_a", "=", 2**53 + 1).select(columns) == [0]
+        assert Predicate("input_a", "=", float(2**53)).select(columns).tolist() == []
+        assert Predicate("input_a", ">=", float(2**53 + 2)).select(columns).tolist() == []
+        assert Predicate("input_a", "=", 2**53 + 1).select(columns).tolist() == [0]
+
+    # 2^53 +- 1, 2^64 - 1 and their neighbours, negative, fractional and
+    # non-finite bounds; words cluster at the same points
+    EDGE_VALUES = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+    BOUNDS = st.one_of(
+        st.sampled_from(EDGE_VALUES + [2**64, -1, -2**64, 0.5, -0.5, 2.0**53, 2.0**64,
+                                       float(2**53 + 2), 2.0**-255, 2.0**-256, 254.5]),
+        st.sampled_from(EDGE_VALUES).map(float),
+        st.integers(-2**65, 2**65), st.integers(0, 300).map(lambda x: x + 0.5),
+        st.floats())
+
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGE_VALUES),
+                                          st.integers(0, 2**64 - 1))] * 3,
+                              st.integers(0, 255)), min_size=1, max_size=6),
+           st.sampled_from(NODE_FIELDS), st.sampled_from(["<=", ">=", "=", "=="]), BOUNDS)
+    def test_select_matches_python_values(self, words, field, op, bound):
+        columns = node_columns([(9 - i, *row) for i, row in enumerate(words)], 64)
+        predicate = Predicate(field, op, bound)
+        assert predicate.select(columns).tolist() == reference_select(predicate, columns)
+
+    @pytest.mark.parametrize("field", NODE_FIELDS)
+    def test_select_at_exact_edges(self, field):
+        words = self.EDGE_VALUES + [2, 3, 4]
+        hws = [0, 1, 2, 3, 52, 53, 149, 150, 200, 254, 255]
+        columns = node_columns([(i, x, x, x, hw) for i, (x, hw) in enumerate(zip(words, hws))],
+                               64)
+        ints = sorted({x + d for x in words + hws + [2**64] for d in (-1, 0, 1)})
+        bounds = (ints + [float(x) for x in ints] + [x + 0.5 for x in ints] + [x - 0.3 for x in ints]
+                  + [2.0**-hw for hw in hws] + [1.5 * 2.0**-hw for hw in hws]
+                  + [2.0**-256, float("inf"), -float("inf"), float("nan")])
+        for op in ("<=", ">=", "="):
+            for bound in bounds:
+                predicate = Predicate(field, op, bound)
+                assert predicate.select(columns).tolist() == reference_select(predicate, columns)
 
     @pytest.mark.parametrize("label", ["A,B", 'A"<B', "", "1A", "A B", "A-B", "\u00c5"])
     def test_relation_label_must_be_identifier(self, label):
@@ -305,7 +355,7 @@ class TestBuildGraph:
         sample = make_hub_sample(10, 2)
         rule = EdgeRule(Predicate("output", "=", 99), Predicate("weight", ">=", 0.5))
         g = build_graph(sample, rule)
-        assert g.edges == []
+        assert edge_rows(g) == []
 
     def test_hub_fixture_240_960(self, hub_graph):
         assert len(hub_graph.columns.ids) == 240
@@ -407,6 +457,82 @@ class TestLazyRows:
             for rows, reference in ((g.successors, successors), (g.predecessors, predecessors)):
                 edgeless = [u for u, row in reference.items() if not row]
                 assert edgeless and all(rows[u] == [] for u in edgeless)
+
+
+@st.composite
+def near_bicliques(draw):
+    """Every pair of S x T, with or without the loops, under labels E and F;
+    then maybe one pair dropped or one edge added, and maybe repeats."""
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))
+    sources = draw(st.lists(st.sampled_from(ids), unique=True))
+    targets = draw(st.lists(st.sampled_from(ids), unique=True))
+    loops = draw(st.booleans())
+    pairs = [(u, v) for u in sources for v in targets if loops or u != v]
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and pairs:
+        pairs.remove(draw(st.sampled_from(pairs)))
+    if change == "add":
+        pairs.append((draw(st.sampled_from(ids)), draw(st.sampled_from(ids))))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    edges = [(u, v, draw(st.sampled_from(["E", "F"]))) for u, v in pairs]
+    return DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in ids], 4), edges)
+
+
+def product(sources, targets, loops=True):
+    return [(u, v, "E") for u in sources for v in targets if loops or u != v]
+
+
+class TestBiclique:
+    """A graph whose edges are S x T, with or without the loops, gets its
+    statistics in closed form and shares its rows; any other graph takes the
+    pass over its edges. Both agree with the references."""
+
+    CASES = {
+        "rule with loops": (product([0, 1, 2], [2, 3]), True),
+        "rule without loops": (product([0, 1, 2], [1, 2, 3], loops=False), True),
+        "without loops, S = T": (product([1, 2, 3], [1, 2, 3], loops=False), True),
+        "duplicate edges": (product([0, 1, 2], [2, 3]) + [(0, 3, "F"), (2, 2, "E")], True),
+        "one pair dropped": (product([0, 1, 2], [2, 3])[1:], False),
+        "one loop dropped": (product([0, 1, 2], [1, 2, 3])[:-1], False),
+        "one edge added": (product([0, 1, 2], [2, 3]) + [(3, 4, "E")], False),
+        "a loop added": (product([0, 1, 2], [1, 2, 3], loops=False) + [(1, 1, "E")], False),
+        "loops only": ([(1, 1, "E"), (2, 2, "E")], False),
+        "one loop": ([(4, 4, "E")], True),
+        "no edge": ([], True),
+    }
+
+    @staticmethod
+    def check(g):
+        assert graph_stats(g) == reference_stats(g)
+        successors, predecessors = reference_adjacency(g)
+        assert g.successors == {u: sorted(set(row)) for u, row in successors.items()}
+        assert g.predecessors == {u: sorted(set(row)) for u, row in predecessors.items()}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_case(self, case):
+        edges, biclique = self.CASES[case]
+        g = DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in (5, 4, 3, 2, 1, 0)], 4), edges)
+        assert (g._biclique is not None) == is_biclique(g) == biclique
+        self.check(g)
+
+    @settings(deadline=None)
+    @given(near_bicliques())
+    def test_matches_reference(self, g):
+        assert (g._biclique is not None) == is_biclique(g)
+        self.check(g)
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_built_graph_shares_rows(self, self_loops):
+        # sources have output 0, targets hw 1; ids 0..3 are both
+        sample = Pddt(PddtConfig(16, 0.1), range(12), range(12),
+                      [0] * 8 + [1] * 4, [1] * 4 + [2] * 4 + [1] * 4)
+        g = build_graph(sample, EdgeRule(Predicate("output", "=", 0),
+                                         Predicate("weight", ">=", 0.5), self_loops))
+        assert g._biclique is not None
+        assert len({id(g.successors[u]) for u in range(4, 8)}) == 1
+        assert len({id(g.predecessors[v]) for v in range(8, 12)}) == 1
+        self.check(g)
 
 
 class TestStats:
@@ -575,7 +701,7 @@ class TestExports:
         for export, reference in REFERENCE_EXPORTS.items():
             assert export(g) == reference(g)
         back = from_csv(to_nodes_csv(g), to_edges_csv(g))  # word size is not kept
-        assert (node_rows(back.columns), back.edges) == (node_rows(g.columns), g.edges)
+        assert (node_rows(back.columns), edge_rows(back)) == (node_rows(g.columns), edge_rows(g))
 
     @settings(deadline=None)
     @given(any_digraphs())
@@ -588,7 +714,7 @@ class TestExports:
 
     def test_empty_graph_matches_reference(self):
         g = from_csv(NODES_HEADER.encode(), b"src_id,dst_id,label\n")
-        assert node_rows(g.columns) == [] and g.edges == []
+        assert node_rows(g.columns) == [] and edge_rows(g) == []
         for export, reference in REFERENCE_EXPORTS.items():
             assert export(g) == reference(g)
         assert to_cypher(g) == b"\n"
@@ -632,7 +758,7 @@ def outcome(call):
     """The edges of the graph call() returns, or the type and text of the
     ValueError it raises."""
     try:
-        return call().edges
+        return edge_rows(call())
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -717,12 +843,12 @@ class TestEdgesReader:
 
     def test_good_lines_read(self):
         g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")
-        assert g.edges == [(0, 1, "E"), (1, 1, "F")]
+        assert edge_rows(g) == [(0, 1, "E"), (1, 1, "F")]
 
 
     def test_comment_may_hold_any_bytes(self):
         g = from_csv(self.NODES, b"0,1,E\n# \xff\xfe\n#\x00\x85\r\n")
-        assert g.edges == [(0, 1, "E")]
+        assert edge_rows(g) == [(0, 1, "E")]
 
     @pytest.mark.parametrize("edges, message", [
         pytest.param(b"0,1,E\n1,\xff,E\n", "line 2: field 2 must be a decimal id, got '\ufffd'",
@@ -746,7 +872,7 @@ class TestEdgesReader:
         top = 10**18 - 1
         nodes = (NODES_HEADER + f"0,0x1,0x1,0x0,0.5,1\n{top},0x3,0x3,0x0,0.25,2\n").encode()
         g = from_csv(nodes, f"{top},0,E\n{'0' * 17}0,{top},E\n".encode())
-        assert g.edges == [(0, top, "E"), (top, 0, "E")]
+        assert edge_rows(g) == [(0, top, "E"), (top, 0, "E")]
 
     @settings(max_examples=300)
     @given(edges_files())
@@ -759,7 +885,21 @@ class TestEdgesReader:
 
 
 class TestMemory:
-    """An export holds its output and one bounded chunk of lines."""
+    """A graph holds its columns, an export its output and one bounded chunk
+    of lines, and a reader one bounded chunk of its input."""
+
+    def test_build_graph_holds_its_edge_columns(self):
+        sample = make_hub_sample(20_000, 4)
+        g, peak = traced_peak(lambda: build_graph(sample, default_edge_rule()))
+        assert len(g.edges) == 80_000
+        assert peak < 4 * 2**20
+
+    def test_from_csv_holds_its_columns_and_a_chunk(self):
+        g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
+        nodes, edges = to_nodes_csv(g), to_edges_csv(g)
+        back, peak = traced_peak(lambda: from_csv(nodes, edges))
+        assert back == g
+        assert peak < 8 * 2**20
 
     def test_graphml_holds_its_output_and_a_chunk(self):
         g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
