@@ -529,6 +529,9 @@ class TestBiclique:
                       [0] * 8 + [1] * 4, [1] * 4 + [2] * 4 + [1] * 4)
         g = build_graph(sample, EdgeRule(Predicate("output", "=", 0),
                                          Predicate("weight", ">=", 0.5), self_loops))
+        for fmt in EXPORT_FORMATS:
+            export_graph(g, fmt)
+        assert "_biclique" not in vars(g)  # recognised on first read by stats or search
         assert g._biclique is not None
         assert len({id(g.successors[u]) for u in range(4, 8)}) == 1
         assert len({id(g.predecessors[v]) for v in range(8, 12)}) == 1
