@@ -20,8 +20,8 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DP_OF_HW, Dec, DifferentialColumns, Fields, Hex, Pddt, Lines,
-                   decode_differential_csv, differential_csv, differential_lines,
+from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Fields, Hex, Pddt,
+                   Lines, decode_differential_csv, differential_csv, differential_lines,
                    join_lines, split_lines)
 
 # rule field name -> node column; weight is 2^-hw
@@ -295,7 +295,10 @@ def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edg
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
-    """Nodes from every sample entry, edges from the rule's cross product."""
+    """Nodes from every sample entry, edges from the rule's cross product.
+
+    A product of more than DEFAULT_MAX_ELEMENTS edges, the bound a table's
+    rows have, is refused before any edge is made."""
     if len(sample) == 0:
         raise ParameterError("cannot build a graph from an empty sample")
     columns = DifferentialColumns(np.arange(len(sample)), sample.a, sample.b, sample.c,
@@ -303,6 +306,10 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
     # both id arrays ascend, so the product is in edge order
     sources = rule.source_predicate.select(columns)
     targets = rule.target_predicate.select(columns)
+    edges = len(sources) * len(targets)
+    if edges > DEFAULT_MAX_ELEMENTS:
+        raise ParameterError(f"rule makes {len(sources)} x {len(targets)} = {edges} edges, "
+                             f"more than {DEFAULT_MAX_ELEMENTS}")
     src = np.repeat(sources, len(targets))
     dst = np.tile(targets, len(sources))
     if not rule.allow_self_loops:

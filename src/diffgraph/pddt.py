@@ -590,14 +590,6 @@ def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
     return level
 
 
-def _build_branch(frontier, config: PddtConfig):
-    """Expand a frontier of bit-0 prefixes, a list of columns that
-    `_expand_level` empties, over bit positions 1..n-1."""
-    for bit in range(1, config.word_size):
-        frontier = _expand_level(frontier, bit, config.max_weight, config.max_elements)
-    return frontier[:4]
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count from the argument; None or 0 means 1.
 
@@ -610,24 +602,18 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     """Build the full PDDT for the configured word size and threshold.
 
-    Bit 0 is the empty prefix's level: all-equal at 0, it takes the four
-    weightless triples with a ^ b ^ c = 0.  Each is expanded on its own
-    and merged in fixed order.  The build runs on the calling thread;
-    `workers` is accepted and ignored, kept only for the benchmark
-    harness, which passes it.
+    The frontier starts as the empty prefix, all-equal at 0 and weightless,
+    and grows one level per bit position; the last level is the table.
+    The build runs on the calling thread; `workers` is accepted and
+    ignored, kept only for the benchmark harness, which passes it.
     """
     zero = np.zeros(1, dtype=np.uint64)
-    empty = [zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8)]
-    level = _expand_level(empty, 0, config.max_weight, config.max_elements)
-    fragments = [_build_branch([col[k:k + 1] for col in level], config)
-                 for k in range(len(level[0]))]
-    rows = sum(len(fragment[0]) for fragment in fragments)
-    if rows > config.max_elements:
-        raise PddtOverflowError(rows, config.max_elements)
-    cols = [np.concatenate(col) for col in zip(*fragments)]
-    del fragments
-    _gather(cols, _table_order(*cols[:3], config.word_size))
-    return Pddt(config, *cols)
+    level = [zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8)]
+    for bit in range(config.word_size):
+        level = _expand_level(level, bit, config.max_weight, config.max_elements)
+    del level[4]  # the carry states
+    _gather(level, _table_order(*level[:3], config.word_size))
+    return Pddt(config, *level)
 
 
 def _table_order(a, b, c, word_size: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import over_edge_limit_sample
 from diffgraph.cli import main
 from diffgraph.differential import brute_force_dp
 
@@ -175,6 +176,16 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.err == "error: limit -1 < 1\n"
         assert captured.out == ""
+
+    def test_graph_past_the_edge_limit_is_runtime_error(self, tmp_path, capsys):
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        table.write_bytes(over_edge_limit_sample().to_csv())
+        assert run(tmp_path, "graph", "build", "--input", table, "--rule", "default",
+                   "--nodes-out", nodes, "--edges-out", edges) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rule makes 16385 x 16385 = 268468225 edges")
+        assert captured.out == ""
+        assert not nodes.exists() and not edges.exists()
 
     def test_malformed_edges_is_runtime_error(self, tmp_path, capsys):
         nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"

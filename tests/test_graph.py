@@ -1,11 +1,12 @@
 import operator
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
-                      node_rows, traced_peak)
+                      node_rows, over_edge_limit_sample, traced_peak)
 from diffgraph.bench import McsConfig, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
@@ -31,7 +32,7 @@ from diffgraph.graph import (
     to_graphml,
     to_nodes_csv,
 )
-from diffgraph.pddt import Pddt, PddtConfig, node_columns
+from diffgraph.pddt import DEFAULT_MAX_ELEMENTS, Pddt, PddtConfig, node_columns
 from diffgraph.simon import ParameterError
 
 NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
@@ -391,6 +392,25 @@ class TestBuildGraph:
         from diffgraph.pddt import Pddt, PddtConfig
         with pytest.raises(ParameterError):
             build_graph(Pddt(PddtConfig(4, 0.5), [], [], [], []), default_edge_rule())
+
+    def test_edge_product_over_the_limit_refused(self, monkeypatch):
+        sample = over_edge_limit_sample()
+
+        def bounded(make):
+            def wrapper(a, reps, *args, **kwargs):
+                assert np.size(a) * np.prod(reps) <= DEFAULT_MAX_ELEMENTS, "edges past the limit"
+                return make(a, reps, *args, **kwargs)
+            return wrapper
+
+        def refused():
+            with pytest.raises(ParameterError, match=f"^rule makes 16385 x 16385 = 268468225 "
+                                                     f"edges, more than {DEFAULT_MAX_ELEMENTS}$"):
+                build_graph(sample, default_edge_rule())
+
+        for name in ("repeat", "tile"):
+            monkeypatch.setattr(np, name, bounded(getattr(np, name)))
+        _, peak = traced_peak(refused)
+        assert peak < 2**20  # the node ids and the two selections
 
 
 class TestAdjacency:

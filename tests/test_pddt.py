@@ -196,6 +196,51 @@ class TestBuildProperties:
         assert build_pddt(config, workers=1).to_csv() == build_pddt(config, workers=2).to_csv()
 
 
+def level_sizes(n, max_weight):
+    """Rows of the builder's level at each bit k: the size of the
+    (k+1)-bit table, counted by the automaton."""
+    return [sum(automaton_histogram(k + 1, max_weight).values()) for k in range(n)]
+
+
+class TestLevelSizes:
+    def test_levels_are_the_automaton_table_sizes(self, monkeypatch):
+        config = PddtConfig(16, 0.1)
+        sizes = []
+        expand = pddt_module._expand_level
+
+        def recording(*args):
+            level = expand(*args)
+            sizes.append(len(level[0]))
+            return level
+
+        monkeypatch.setattr(pddt_module, "_expand_level", recording)
+        build_pddt(config)
+        assert sizes == level_sizes(16, config.max_weight)
+        assert sizes[:3] == [4, 28, 196]
+        assert sizes[14:] == [327_940, 408_604]
+
+    @pytest.mark.parametrize("n, limit, reached", [(12, 1_000, 1_372), (16, 408_603, 408_604),
+                                                   (32, 10**6, 1_012_804)])
+    def test_refused_at_the_automaton_size(self, n, limit, reached):
+        config = PddtConfig(n, 0.1, max_elements=limit)
+        assert next(size for size in level_sizes(n, config.max_weight) if size > limit) == reached
+        with pytest.raises(PddtOverflowError, match=f"\\(reached {reached}\\)$"):
+            build_pddt(config)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 16), thresholds, st.integers(1, 100_000))
+    def test_refusal_reports_the_first_level_past_the_limit(self, n, threshold, limit):
+        config = PddtConfig(n, threshold, max_elements=limit)
+        sizes = level_sizes(n, config.max_weight)
+        over = [size for size in sizes if size > limit]
+        if over:
+            with pytest.raises(PddtOverflowError) as err:
+                build_pddt(config)
+            assert (err.value.count, err.value.max_elements) == (over[0], limit)
+        else:
+            assert len(build_pddt(config)) == sizes[-1]
+
+
 class TestPartialDp:
     def test_empty_prefix(self):
         assert partial_dp(0, 0, 0, 0) == 1.0
@@ -500,20 +545,10 @@ class TestMemory:
         ids_bytes = 8 * len(back)
         assert peak < 2.5 * (column_bytes(back) + ids_bytes)
 
-    def test_branch_frees_the_level_below(self):
-        # a level holds its gathered parents and itself, not the level below
-        config = PddtConfig(16, 0.1)
-        zero = np.zeros(1, dtype=np.uint64)
-        root = [zero, zero, zero, np.zeros(1, dtype=np.uint16),
-                np.full(1, pddt_module._EQ0, dtype=np.uint8)]
-        level = pddt_module._expand_level(root, 0, config.max_weight, config.max_elements)
-        first = [col[:1].copy() for col in level]
-        branch, peak = traced_peak(lambda: pddt_module._build_branch(first, config))
-        assert len(branch[0]) == 327_940
-        assert peak < 1.5 * sum(col.nbytes for col in branch)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_build_merges_without_copies(self, workers):
+        """The last level, the table, holds its gathered parents and itself,
+        not the level below, and the sort gathers one column at a time."""
         built, peak = traced_peak(lambda: build_pddt(PddtConfig(16, 0.1), workers=workers))
         assert len(built) == 408_604
-        assert peak < 2.3 * column_bytes(built)
+        assert peak < 1.85 * column_bytes(built)
