@@ -12,7 +12,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths
@@ -63,48 +63,41 @@ class SearchReport:
         return "method,seed,playouts,best_hops,best_total_dp,expansions,elapsed_ms"
 
 
-def _playout(graph: DiffGraph, start: int, rng: random.Random,
-             max_depth: int) -> Tuple[List[int], float]:
+def _playout(successors: Dict[int, List[int]], dp: Dict[int, float], start: int,
+             choice: Callable[[range], int], max_depth: int) -> Tuple[List[int], float]:
     """One random walk over unvisited successors, capped at max_depth hops.
 
     Each step draws the k-th unvisited entry of the current node's sorted
     row, k uniform, and skips the visited entries, found by bisection.
-    Drawing k with `rng.choice(range(n))` consumes the RNG exactly as
-    choosing from the list of the n unvisited entries would.
+    Drawing k with `choice(range(n))`, a Random's bound `choice`, consumes
+    the RNG exactly as choosing from the list of the n unvisited entries
+    would.
     """
-    dp, successors = graph.dp, graph.successors
     path = [start]
     total = dp[start]
-    while len(path) - 1 < max_depth:
-        row = successors[path[-1]]
+    u = start
+    while len(path) <= max_depth:
+        row = successors[u]
+        if not row:
+            break
+        n = len(row)
         taken = []
         for w in path:
             i = bisect_left(row, w)
-            if i < len(row) and row[i] == w:
+            if i < n and row[i] == w:
                 taken.append(i)
-        unvisited = len(row) - len(taken)
-        if unvisited == 0:
+        if n == len(taken):
             break
-        k = rng.choice(range(unvisited))
-        for i in sorted(taken):
-            if i > k:
-                break
-            k += 1
-        path.append(row[k])
-        total += dp[row[k]]
+        k = choice(range(n - len(taken)))
+        if taken:
+            for i in sorted(taken):
+                if i > k:
+                    break
+                k += 1
+        u = row[k]
+        path.append(u)
+        total += dp[u]
     return path, total
-
-
-def _candidate(dp: Dict[int, float], path: List[int],
-               target: Optional[int]) -> Optional[PathResult]:
-    """The scored path a walk contributes: its prefix up to the target
-    node when one is set, otherwise the complete walk."""
-    if target is not None:
-        if target not in path:
-            return None
-        path = path[: path.index(target) + 1]
-    total = sum(map(dp.__getitem__, path))
-    return PathResult(tuple(path), total)
 
 
 def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
@@ -112,26 +105,37 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
 
     Playout i continues the stream of `random.Random(f"mcs:{seed}")` where
     playout i - 1 left it, so the first k playouts of a search are the
-    same whatever `config.playouts` is.
+    same whatever `config.playouts` is. A playout's candidate is its walk
+    up to the target node when one is set, and none if the walk misses
+    it; otherwise the complete walk.
     """
-    dp = graph.dp
-    for node_id, name in ((start, "start"), (config.target_node, "target")):
+    dp, successors = graph.dp, graph.successors
+    target, max_depth = config.target_node, config.max_depth
+    for node_id, name in ((start, "start"), (target, "target")):
         if node_id is not None and node_id not in dp:
             raise ParameterError(f"{name} node {node_id} not in graph")
     t0 = time.perf_counter()
     best: Optional[PathResult] = None
+    best_key = None  # best.rank_key
     trace: List[Optional[PathResult]] = []
     walk_totals: List[float] = []
     steps = 0
-    rng = random.Random(f"mcs:{config.seed}")
+    choice = random.Random(f"mcs:{config.seed}").choice
     for _ in range(config.playouts):
-        path, total = _playout(graph, start, rng, config.max_depth)
+        path, total = _playout(successors, dp, start, choice, max_depth)
         steps += len(path) - 1
         walk_totals.append(total)
-        cand = _candidate(dp, path, config.target_node)
-        if cand is not None and len(cand.node_sequence) > 1:
-            if best is None or cand.rank_key < best.rank_key:
-                best = cand
+        if target is not None:
+            if target not in path:
+                trace.append(best)
+                continue
+            path = path[: path.index(target) + 1]
+        if len(path) > 1:
+            sequence = tuple(path)
+            total = sum(map(dp.__getitem__, path))
+            key = (len(path) - 1, -total, sequence)
+            if best is None or key < best_key:
+                best, best_key = PathResult(sequence, total), key
         trace.append(best)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport("mcs", config.seed, config.playouts, best, elapsed, steps,

@@ -460,7 +460,11 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     search stops at the first hop count whose paths reach `limit`. A
     backward breadth-first search from dst gives each node's distance to
     it; a partial path is dropped as soon as its last node cannot reach
-    dst in the hops it has left. `work`, when given, is filled in.
+    dst in the hops it has left. That test, for h hops, reads only the
+    distances below h, so the search grows one distance level at a time,
+    as the hop count needs it: to find src's own distance, and before
+    each hop count. An edge src -> dst needs no level at all. `work`,
+    when given, is filled in.
     """
     dp = graph.dp
     for node_id, name in ((src, "src"), (dst, "dst")):
@@ -474,18 +478,32 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
         return [PathResult((src,), dp[src])]
 
     successors, predecessors = graph.successors, graph.predecessors
-    dist = {dst: 0}
+    dist = {dst: 0}  # complete for the distances 0..depth
     frontier = [dst]
-    for d in range(1, max_hops + 1):
+    depth = 0
+
+    def deepen():
+        """Add the nodes at distance depth + 1 to dist."""
+        nonlocal frontier, depth
+        depth += 1
         reached = []
         for v in frontier:
             for u in predecessors[v]:
                 if u not in dist:
-                    dist[u] = d
+                    dist[u] = depth
                     reached.append(u)
         frontier = reached
-    if src not in dist:
-        return []
+
+    row = successors[src]
+    i = bisect_left(row, dst)
+    if i < len(row) and row[i] == dst:
+        fewest = 1
+    else:
+        while src not in dist and frontier and depth < max_hops:
+            deepen()
+        if src not in dist:
+            return []
+        fewest = dist[src]
 
     path = [src]
     on_path = {src}
@@ -512,7 +530,9 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
                 on_path.remove(v)
 
     results: List[PathResult] = []
-    for hops in range(dist[src], max_hops + 1):
+    for hops in range(fewest, max_hops + 1):
+        while depth < hops - 1:
+            deepen()
         layer.clear()
         extend(src, dp[src], hops)
         results.extend(sorted(layer, key=lambda p: p.rank_key))

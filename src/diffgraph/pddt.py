@@ -643,7 +643,7 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
         return pddt
     rng = random.Random(f"pddt-sample:{spec.seed}")
     # output classes in ascending c, each class's rows in table order
-    order = np.argsort(pddt.c, kind="stable")
+    order = _stable_order(pddt.c)
     by_output = pddt.c[order]
     starts = np.flatnonzero(np.r_[True, by_output[1:] != by_output[:-1]])
     sizes = np.diff(np.r_[starts, len(order)])
@@ -665,6 +665,29 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
         picks.extend(rng.sample(range(size), take))
     idx = np.sort(order[np.repeat(starts, takes) + np.array(picks, dtype=np.int64)])
     return Pddt(pddt.config, pddt.a[idx], pddt.b[idx], pddt.c[idx], pddt.hw[idx])
+
+
+# rows of sort key filled at a time, so that no row-number column is made
+_KEY_BLOCK = 1 << 16
+
+
+def _stable_order(c: np.ndarray) -> np.ndarray:
+    """The stable order of a non-empty column, `np.argsort(c,
+    kind="stable")`. With r the bit length of the last row number, when
+    the keys c << r | row fit in 64 bits, it is one in-place sort of
+    them: the keys are distinct, so their order is the stable one, and
+    masking out c leaves the row numbers. Otherwise the argsort runs."""
+    r = (len(c) - 1).bit_length()
+    if int(c.max()).bit_length() + r > 64:
+        return np.argsort(c, kind="stable")
+    keys = np.empty(len(c), dtype=np.uint64)
+    for start in range(0, len(c), _KEY_BLOCK):
+        block = keys[start:start + _KEY_BLOCK]
+        np.left_shift(c[start:start + _KEY_BLOCK], np.uint64(r), out=block)
+        block |= np.arange(start, start + len(block), dtype=np.uint64)
+    keys.sort()
+    keys &= np.uint64((1 << r) - 1)
+    return keys.view(np.int64)
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,8 @@ class TestHitRate:
         start = data.draw(st.sampled_from(ids))
         target = data.draw(st.sampled_from([i for i in ids if i != start]))
         p = exact_hit_probability(g, start, target, max_depth)
-        rng, n = random.Random(seed), 4000
-        hits = sum(target in bench._playout(g, start, rng, max_depth)[0][1:]
+        choice, n = random.Random(seed).choice, 4000
+        hits = sum(target in bench._playout(g.successors, g.dp, start, choice, max_depth)[0][1:]
                    for _ in range(n))
         assert abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1 / n
 

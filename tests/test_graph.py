@@ -79,6 +79,59 @@ def reference_paths(graph, src, dst, max_hops):
     return results
 
 
+def eager_search(graph, src, dst, max_hops, limit):
+    """(paths, expansions) of the hop-layered search with every backward
+    distance level up to max_hops built before src is looked at."""
+    successors, predecessors = ({u: sorted(set(row)) for u, row in rows.items()}
+                                for rows in reference_adjacency(graph))
+    dp_of = {node_id: 2.0 ** -hw for node_id, *_, hw in node_rows(graph.columns)}
+    if src == dst:
+        return [PathResult((src,), dp_of[src])], 0
+    dist, frontier = {dst: 0}, [dst]
+    for d in range(1, max_hops + 1):
+        reached = []
+        for v in frontier:
+            for u in predecessors[v]:
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
+    if src not in dist:
+        return [], 0
+    expansions, layer, results = 0, [], []
+
+    def extend(path, total, left):
+        nonlocal expansions
+        expansions += 1
+        if left == 1:
+            if dst in successors[path[-1]]:
+                layer.append(PathResult(tuple(path) + (dst,), total + dp_of[dst]))
+            return
+        for v in successors[path[-1]]:
+            if dist.get(v, left) < left and v not in path and v != dst:
+                extend(path + [v], total + dp_of[v], left - 1)
+
+    for hops in range(dist[src], max_hops + 1):
+        layer.clear()
+        extend([src], dp_of[src], hops)
+        results.extend(sorted(layer, key=lambda p: p.rank_key))
+        if len(results) >= limit:
+            break
+    return results[:limit], expansions
+
+
+class CountingRows(dict):
+    """A row dict that records the key of every row read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+
 def reference_stats(graph):
     """Statistics by list-queue BFS and pairwise neighbour tests."""
     successors, predecessors = reference_adjacency(graph)
@@ -499,6 +552,15 @@ def near_bicliques(draw):
     return DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in ids], 4), edges)
 
 
+def overlapping_biclique(self_loops):
+    """A rule graph on ids 0..11: the sources 0..7 have output 0 and the
+    targets 0..3 and 8..11 have hw 1, so 0..3 are both."""
+    sample = Pddt(PddtConfig(16, 0.1), range(12), range(12),
+                  [0] * 8 + [1] * 4, [1] * 4 + [2] * 4 + [1] * 4)
+    return build_graph(sample, EdgeRule(Predicate("output", "=", 0),
+                                        Predicate("weight", ">=", 0.5), self_loops))
+
+
 def product(sources, targets, loops=True):
     return [(u, v, "E") for u in sources for v in targets if loops or u != v]
 
@@ -544,11 +606,7 @@ class TestBiclique:
 
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_built_graph_shares_rows(self, self_loops):
-        # sources have output 0, targets hw 1; ids 0..3 are both
-        sample = Pddt(PddtConfig(16, 0.1), range(12), range(12),
-                      [0] * 8 + [1] * 4, [1] * 4 + [2] * 4 + [1] * 4)
-        g = build_graph(sample, EdgeRule(Predicate("output", "=", 0),
-                                         Predicate("weight", ">=", 0.5), self_loops))
+        g = overlapping_biclique(self_loops)
         for fmt in EXPORT_FORMATS:
             export_graph(g, fmt)
         assert "_biclique" not in vars(g)  # recognised on first read by stats or search
@@ -661,6 +719,44 @@ class TestPaths:
             every = reference_paths(hub_graph, src, dst, 3)
             for limit in (1, 7, 100, 10_000):
                 assert find_optimal_paths(hub_graph, src, dst, 3, limit) == every[:limit]
+
+    @settings(deadline=None)
+    @given(any_digraphs())
+    def test_matches_eager_search(self, g):
+        ids = g.columns.ids.tolist()
+        for src in ids:
+            for dst in ids:
+                for max_hops in range(1, 5):
+                    for limit in range(1, 6):
+                        work = PathSearchWork()
+                        paths = find_optimal_paths(g, src, dst, max_hops, limit, work)
+                        expected = eager_search(g, src, dst, max_hops, limit)
+                        assert (paths, work.expansions) == expected
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_levels_grow_as_the_hop_count_needs(self, self_loops):
+        """A direct edge answers 1 hop without reading a predecessor row,
+        and no query reads a row of a node max_hops or more hops from dst,
+        nor any row twice."""
+        g = overlapping_biclique(self_loops)
+        _, predecessors = reference_adjacency(g)
+        rows = vars(g)["predecessors"] = CountingRows(g.predecessors)
+        for src, dst in ((4, 8), (0, 1), (4, 0), (8, 0), (8, 4), (0, 4), (9, 9)):
+            # hop distances to dst, by breadth-first search backwards
+            dist, frontier, d = {dst: 0}, {dst}, 0
+            while frontier:
+                d += 1
+                frontier = {u for v in frontier for u in predecessors[v]} - dist.keys()
+                dist.update(dict.fromkeys(frontier, d))
+            for max_hops in range(1, 5):
+                for limit in (1, 5):
+                    rows.read.clear()
+                    every = reference_paths(g, src, dst, max_hops)
+                    assert find_optimal_paths(g, src, dst, max_hops, limit) == every[:limit]
+                    if limit == 1 and every and every[0].hops == 1:
+                        assert rows.read == []
+                    assert len(set(rows.read)) == len(rows.read)
+                    assert all(dist[v] < max_hops for v in rows.read)
 
 
 class TestExports:

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import logging
+import random
 import threading
 
 import numpy as np
@@ -305,6 +306,68 @@ class TestSample:
         empty = Pddt(PddtConfig(4, 0.5), [], [], [], [])
         with pytest.raises(ParameterError):
             sample_pddt(empty, SampleSpec())
+
+
+def reference_sample(pddt, spec):
+    """sample_pddt's draw with its output classes found by a stable argsort."""
+    rng = random.Random(f"pddt-sample:{spec.seed}")
+    order = np.argsort(pddt.c, kind="stable")
+    by_output = pddt.c[order]
+    starts = np.flatnonzero(np.r_[True, by_output[1:] != by_output[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)])
+    takes = np.minimum(np.maximum(int(spec.quota_rule), np.round(spec.fraction * sizes)), sizes)
+    picks = []
+    for start, size, take in zip(starts.tolist(), sizes.tolist(), takes.astype(int).tolist()):
+        picks.extend(order[start + p] for p in rng.sample(range(size), take))
+    idx = np.sort(np.array(picks, dtype=np.int64))
+    return [getattr(pddt, col)[idx] for col in ("a", "b", "c", "hw")]
+
+
+class TestSampleOrder:
+    """The sampler's classes come from one sort of packed c << r | row keys
+    when they fit in 64 bits, else from a stable argsort; both draw the
+    rows that a stable argsort does."""
+
+    @pytest.fixture
+    def argsort_calls(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(pddt_module.np, "argsort",
+                            lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+        return calls
+
+    @staticmethod
+    def sampled_by_argsort(table, spec, calls) -> bool:
+        """Check sample_pddt against the reference; whether it argsorted."""
+        expected = reference_sample(table, spec)
+        calls.clear()
+        if not len(expected[0]):
+            with pytest.raises(ParameterError, match="keeps none"):
+                sample_pddt(table, spec)
+        else:
+            got = sample_pddt(table, spec)
+            for column, want in zip((got.a, got.b, got.c, got.hw), expected):
+                assert np.array_equal(column, want)
+        return bool(calls)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("quota_rule", [True, False])
+    def test_packed_keys(self, argsort_calls, n, quota_rule):
+        table = build_pddt(PddtConfig(n, 0.1))
+        for seed, fraction in ((n, 0.03), (n + 1, 0.3)):
+            spec = SampleSpec(fraction, quota_rule, seed)
+            assert not self.sampled_by_argsort(table, spec, argsort_calls)
+
+    @pytest.mark.parametrize("width,packed", [(62, True), (63, False), (64, False)])
+    def test_keys_past_64_bits_fall_back(self, argsort_calls, width, packed):
+        # 4 rows need r = 2 row bits beside c's `width` bits
+        top = 2 ** width - 1
+        c = [top, 2 ** (width - 1), top, 2 ** (width - 1) + 1]
+        table = Pddt(PddtConfig(64, 0.5), range(4), range(4), c, [1, 0, 1, 1])
+        for seed in range(8):
+            for quota_rule in (True, False):
+                spec = SampleSpec(0.5, quota_rule, seed)
+                assert self.sampled_by_argsort(table, spec, argsort_calls) != packed
 
 
 @pytest.fixture(scope="module")
