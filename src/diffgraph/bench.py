@@ -181,8 +181,6 @@ def compare(graph: DiffGraph, start: int, dst: int,
 #                            -> LR(0.5)    total 0.75
 #             -> R(0.5)   -> RL(0.5)    total 1.125
 #                            -> RR(0.5)    total 1.125
-FIG_TREE_DEPTH = 2
-FIG_TREE_LEAVES = 4
 _FIG_TREE_HW = [3, 3, 1, 3, 1, 1, 1]  # ids 0..6: root, L, R, LL, LR, RL, RR
 _FIG_TREE_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
 

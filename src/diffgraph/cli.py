@@ -17,7 +17,6 @@ from .pddt import Pddt, PddtConfig, SampleSpec
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
-EXIT_USAGE = 2
 
 
 def _parse_rule(args) -> graphmod.EdgeRule:

@@ -20,9 +20,9 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Fields, Hex, Pddt,
-                   Lines, decode_differential_csv, differential_csv, differential_lines,
-                   join_lines, split_lines)
+from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
+                   ascending, decode_differential_csv, differential_csv, differential_lines,
+                   join_lines, read_columns)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -37,6 +37,11 @@ _LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 class RuleError(ValueError):
     """Edge-rule predicate references an unknown field or operator, or the
     relation label is not an identifier."""
+
+
+def _check_label(label: str) -> None:
+    if not (isinstance(label, str) and _LABEL.fullmatch(label)):
+        raise RuleError(f"relation label {label!r} must match {_LABEL.pattern}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,7 @@ class EdgeRule:
     relation_label: str = "OUTPUT_WEIGHT"
 
     def __post_init__(self):
-        if not _LABEL.fullmatch(self.relation_label):
-            raise RuleError(f"relation label {self.relation_label!r} must match {_LABEL.pattern}")
+        _check_label(self.relation_label)
 
 
 def default_edge_rule() -> EdgeRule:
@@ -150,8 +154,7 @@ def _sorted_edges(src: np.ndarray, dst: np.ndarray, codes: np.ndarray,
     rank = np.empty(len(labels), dtype=np.intp)
     rank[by_text] = np.arange(len(labels))
     codes = rank[codes]
-    s0, s1, d0, d1, c0, c1 = src[:-1], src[1:], dst[:-1], dst[1:], codes[:-1], codes[1:]
-    if not ((s0 < s1) | (s0 == s1) & ((d0 < d1) | (d0 == d1) & (c0 <= c1))).all():
+    if not ascending(src, dst, codes):
         order = np.lexsort((codes, dst, src))
         src, dst, codes = src[order], dst[order], codes[order]
     return Edges(src, dst, codes, tuple(labels[k] for k in by_text))
@@ -194,7 +197,6 @@ class DiffGraph:
     def __init__(self, columns: DifferentialColumns,
                  edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
         self.columns = columns
-        self.word_size = columns.word_size
         ids = np.sort(columns.ids)
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
@@ -276,22 +278,24 @@ class DiffGraph:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
-                and self.word_size == other.word_size
+                and self.columns.word_size == other.columns.word_size
                 and all(map(np.array_equal, self.columns[:5], other.columns[:5])))
 
 
 def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edges:
     """The Edges of (src, dst, label) rows, among nodes of the sorted ids."""
-    rows = sorted(rows)
+    rows = list(rows)
     try:
         src, dst = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
     except OverflowError:  # an id beyond int64 is no node's
         known = set(ids.tolist())
-        src, dst, _label = next(row for row in rows if not {row[0], row[1]} <= known)
+        src, dst, _label = min(row for row in rows if not {row[0], row[1]} <= known)
         raise ParameterError(f"edge ({src}, {dst}) references a missing node") from None
-    labels = sorted({row[2] for row in rows})
-    code = {label: k for k, label in enumerate(labels)}
-    return Edges(src, dst, np.array([code[row[2]] for row in rows], dtype=np.intp), tuple(labels))
+    names: Dict[str, int] = {}  # label -> its code, in first-seen order
+    codes = np.array([names.setdefault(row[2], len(names)) for row in rows], dtype=np.intp)
+    for label in names:
+        _check_label(label)
+    return _sorted_edges(src, dst, codes, list(names))
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
@@ -570,45 +574,12 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 
 def _read_edges(data: bytes) -> Edges:
     """The edges of an edges CSV."""
-    # one row at most per line; the columns are filled chunk by chunk
-    capacity = data.count(b"\n") + 1
-    out = [np.empty(capacity, dtype=t) for t in (np.int64, np.int64, np.intp)]
-    rows = 0
-    names: Dict[bytes, int] = {}  # label -> its index, in first-seen order
-    for lines in split_lines(data, b"src_id,", 3):
-        parts = [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
-                 _label_codes(lines, names)]
-        lines.raise_first()
-        for column, part in zip(out, parts):
-            column[rows:rows + len(part)] = part
-        rows += len(part)
-        del lines, parts  # freed before the next chunk is split
-    return _sorted_edges(*(column[:rows] for column in out),
-                         [name.decode("ascii") for name in names])
-
-
-def _label_codes(lines: Fields, names: Dict[bytes, int]) -> np.ndarray:
-    """Each line's label as its index in `names`, which takes in the labels
-    it does not hold; the first label that is no identifier is noted."""
-    # labels of one length are rows of one byte matrix
-    start, length = lines.starts[2], lines.ends[2] - lines.starts[2]
-    bad = length == 0
-    codes = np.zeros(len(length), dtype=np.intp)
-    for size in np.unique(length[~bad]).tolist():
-        at = np.flatnonzero(length == size)
-        text = np.lib.stride_tricks.sliding_window_view(lines.buf, size)[start[at]]
-        if (text == text[0]).all():  # a file of one label
-            distinct, inverse = [text[0].tobytes()], np.zeros(len(at), dtype=np.intp)
-        else:
-            distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
-            distinct = distinct.tolist()
-        # bytes_ values drop NUL bytes at the end, so such a label is short
-        valid = [len(label) == size and _LABEL.fullmatch(label.decode("latin-1")) is not None
-                 for label in distinct]
-        bad[at] = ~np.array(valid)[inverse]
-        codes[at] = np.array([names.setdefault(label, len(names)) for label in distinct])[inverse]
-    lines.check(bad, 2, f"a label matching {_LABEL.pattern}")
-    return codes
+    names: Dict[bytes, int] = {}  # label -> its code
+    src, dst, codes = read_columns(
+        data, b"src_id,", 3, (np.int64, np.int64, np.intp),
+        lambda lines: [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
+                       lines.labels(2, _LABEL, names)])
+    return _sorted_edges(src, dst, codes, [name.decode("ascii") for name in names])
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:

@@ -22,7 +22,7 @@ import logging
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class Pddt:
         cols = [decoded.a, decoded.b, decoded.c, decoded.hw]
         word_size = decoded.word_size
         del decoded  # drops the ids column
-        if not _is_sorted(*cols[:3]):
+        if not ascending(*cols[:3]):
             _gather(cols, _table_order(*cols[:3], word_size))
         hw = cols[3]
         p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
@@ -158,8 +158,8 @@ class Pddt:
 # graph module writes its edges file and exports, and reads its edges
 # file, with the same two pieces. Both work on whole columns with numpy,
 # a bounded number of rows or bytes at a time, and hold the data once:
-# the writer fills one buffer of the output's exact size, the readers
-# fill columns.
+# the writer fills one buffer of the output's exact size, and every
+# reader fills its columns through read_columns.
 
 _WRITE_CHUNK_ROWS = 1 << 16
 _WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
@@ -428,29 +428,61 @@ class Fields:
         self.check(bad, field, expected)
         return values
 
+    def labels(self, field: int, pattern, names: Dict[bytes, int]) -> np.ndarray:
+        """The field as labels that match the compiled `pattern`, each one's
+        index in `names`, which takes in the labels it does not hold. A label
+        is read from the right-aligned window an id is read from. No match of
+        `pattern` starts with '0', so stripping the window's '0' padding gives
+        the label; a field longer than that, such as one starting with '0' or
+        holding a NUL byte, is bad."""
+        start, end = self.starts[field], self.ends[field]
+        length = end - start
+        width = max(int(length.max(initial=1)), 1)
+        text = _right_aligned(self.buf, start, end, width)
+        keys = text.view(f"S{width}")[:, 0]  # bytes_ values drop NUL bytes at the end
+        if len(text) == 0 or (text == text[0]).all():  # a run of one label
+            distinct, inverse = keys[:1], np.zeros(len(keys), dtype=np.intp)
+        else:
+            distinct, inverse = np.unique(keys, return_inverse=True)
+        distinct = [key.lstrip(b"0") for key in distinct.tolist()]
+        # a label's length when it matches, else -1, which no field's length is
+        sizes = np.array([len(label) if pattern.fullmatch(label.decode("latin-1")) else -1
+                          for label in distinct], dtype=np.intp)
+        self.check(sizes[inverse] != length, field, f"a label matching {pattern.pattern}")
+        codes = [names.setdefault(label, len(names)) for label in distinct]
+        return np.array(codes, dtype=np.intp)[inverse]
+
     def raise_first(self) -> None:
         if self.errors:
             raise ValueError(min(self.errors)[1])
 
 
-def split_lines(data: bytes, header: bytes, n: int) -> Iterator[Fields]:
-    """The data lines of about _READ_CHUNK_BYTES of whole lines at a time.
-
-    A line ends at '\\n' and one '\\r' before it is dropped; nothing else
-    is stripped. Blank lines, lines starting with '#' and lines starting
-    with `header` are skipped; every other line should have n fields.
-    """
-    lines_before = pos = 0
+def read_columns(data: bytes, header: bytes, n: int, dtypes, parse) -> list:
+    """Columns of the given dtypes, filled from the data lines of `data`,
+    about _READ_CHUNK_BYTES of whole lines at a time: parse(fields) gives a
+    run's parts, one per column, and notes its bad fields on `fields`; the
+    earliest line at fault raises ValueError. A line ends at '\\n' and one
+    '\\r' before it is dropped; nothing else is stripped. Blank lines and
+    lines starting with '#' or with `header` are skipped; every other line
+    should have n fields."""
+    # one row at most per line; each run is freed before the next is split
+    capacity = data.count(b"\n") + 1
+    columns = [np.empty(capacity, dtype=dtype) for dtype in dtypes]
+    rows = lines_before = pos = 0
     while True:
         end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
         end = len(data) if end < 0 else end + 1
-        lines = Fields(np.frombuffer(data, np.uint8, end - pos, pos), lines_before, header, n)
-        lines_before += lines.newlines
-        yield lines
-        del lines  # a caller that drops its own reference frees the chunk before the next
+        fields = Fields(np.frombuffer(data, np.uint8, end - pos, pos), lines_before, header, n)
+        parts = parse(fields)
+        fields.raise_first()
+        for column, part in zip(columns, parts):
+            column[rows:rows + len(part)] = part
+        rows += len(parts[0])
+        lines_before += fields.newlines
+        del fields, parts
         pos = end
         if pos >= len(data):
-            break
+            return [column[:rows] for column in columns]
 
 
 def decode_differential_csv(data: bytes) -> DifferentialColumns:
@@ -462,30 +494,26 @@ def decode_differential_csv(data: bytes) -> DifferentialColumns:
     1 to 16 digits and a decimal hw from 0 to 255; dp is not read.  Any
     other line raises ValueError naming its 1-based line number.
     """
-    # one row at most per line; the columns are filled chunk by chunk
-    capacity = data.count(b"\n") + 1
-    out = [np.empty(capacity, dtype=t)
-           for t in (np.int64, np.uint64, np.uint64, np.uint64, np.uint8)]
-    rows = 0
     word_size = 4
-    for lines in split_lines(data, b"id,", 6):
+
+    def parse(lines: Fields) -> list:
+        nonlocal word_size
         buf, starts, ends = lines.buf, lines.starts, lines.ends
-        cols = [lines.ids(0, f"a decimal id of at most {_MAX_ID_DIGITS} digits")]
+        parts = [lines.ids(0, f"a decimal id of at most {_MAX_ID_DIGITS} digits")]
         for field in (1, 2, 3):
             start, end = starts[field], ends[field]
             value, bad = _parse_hex(buf, start + 2, end)
             bad |= (buf[start] != _ZERO) | (buf[start + 1] != ord("x"))
             lines.check(bad, field, f"0x and 1 to {_MAX_HEX_DIGITS} hex digits")
-            cols.append(value)
+            parts.append(value)
             word_size = max(word_size, 4 * (int((end - start).max(initial=2)) - 2))
         hw, bad = _parse_decimal(buf, starts[5], ends[5], 3)
         lines.check(bad | (hw > _MAX_HW), 5, f"a decimal weight from 0 to {_MAX_HW}")
-        lines.raise_first()
-        cols.append(hw)
-        for column, part in zip(out, cols):
-            column[rows:rows + len(part)] = part
-        rows += len(hw)
-    return DifferentialColumns(*(column[:rows] for column in out), word_size)
+        return parts + [hw]
+
+    columns = read_columns(data, b"id,", 6,
+                           (np.int64, np.uint64, np.uint64, np.uint64, np.uint8), parse)
+    return DifferentialColumns(*columns, word_size)
 
 
 def _right_aligned(buf, start, end, width: int) -> np.ndarray:
@@ -531,13 +559,15 @@ def _parse_hex(buf, start, end):
     return pairs.astype(np.uint8).view(f">u{width // 2}")[:, 0].astype(np.uint64), bad
 
 
-def _is_sorted(a, b, c) -> bool:
-    """True when the rows are already in (a, b, c) order."""
-    if len(a) < 2:
-        return True
-    da, db, dc = (x[1:] > x[:-1] for x in (a, b, c))
-    ea, eb = a[1:] == a[:-1], b[1:] == b[:-1]
-    return bool(np.all(da | (ea & (db | (eb & (dc | (c[1:] == c[:-1])))))))
+def ascending(*keys) -> bool:
+    """True when the rows of the key columns are in lexicographic order,
+    equal rows allowed."""
+    *head, last = keys
+    in_order = last[1:] >= last[:-1]  # rows k and k + 1, from this key on
+    for x in reversed(head):
+        in_order &= x[1:] == x[:-1]
+        in_order |= x[1:] > x[:-1]
+    return bool(in_order.all())
 
 
 def partial_dp(a: int, b: int, c: int, k: int) -> float:

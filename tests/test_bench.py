@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import any_digraphs, dense_digraphs, make_diamond, make_two_node_graph, node_rows
 from diffgraph import bench
 from diffgraph.bench import (
-    FIG_TREE_DEPTH,
-    FIG_TREE_LEAVES,
     DominanceError,
     McsConfig,
     SearchReport,
@@ -87,10 +85,10 @@ class TestFixture:
     def test_half_of_leaf_paths_at_most_one(self):
         g = build_fig_tree_fixture()
         paths = leaf_paths(g, 0)
-        assert len(paths) == FIG_TREE_LEAVES
-        assert all(p.hops == FIG_TREE_DEPTH for p in paths)
+        assert len(paths) == 4
+        assert all(p.hops == 2 for p in paths)
         light = [p for p in paths if p.total_dp <= 1.0]
-        assert len(light) == FIG_TREE_LEAVES // 2
+        assert len(light) == 2
 
     def test_deterministic_construction(self):
         g1, g2 = build_fig_tree_fixture(), build_fig_tree_fixture()

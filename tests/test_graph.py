@@ -209,7 +209,7 @@ def reference_edges_csv(graph):
 
 
 def reference_graphml(graph):
-    n = graph.word_size
+    n = graph.columns.word_size
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -238,7 +238,7 @@ def reference_graphml(graph):
 
 
 def reference_dot(graph):
-    n = graph.word_size
+    n = graph.columns.word_size
     out = ["digraph differentials {"]
     for node_id, a, b, c, hw in node_rows(graph.columns):
         out.append(
@@ -253,7 +253,7 @@ def reference_dot(graph):
 
 
 def reference_cypher(graph):
-    n = graph.word_size
+    n = graph.columns.word_size
     out = []
     for node_id, a, b, c, hw in node_rows(graph.columns):
         out.append(
@@ -314,6 +314,9 @@ RULES = [
     EdgeRule(Predicate("hw", "<=", 40), Predicate("input_a", ">=", 1),
              allow_self_loops=False, relation_label="LINKS"),
 ]
+
+
+BAD_LABELS = ["A,B", 'A"<B', "", "1A", "A B", "A-B", "\u00c5"]
 
 
 class TestEdgeRule:
@@ -388,12 +391,20 @@ class TestEdgeRule:
                 predicate = Predicate(field, op, bound)
                 assert predicate.select(columns).tolist() == reference_select(predicate, columns)
 
-    @pytest.mark.parametrize("label", ["A,B", 'A"<B', "", "1A", "A B", "A-B", "\u00c5"])
+    @pytest.mark.parametrize("label", BAD_LABELS)
     def test_relation_label_must_be_identifier(self, label):
         # the label is written unquoted into the edges CSV, DOT and Cypher
         with pytest.raises(RuleError, match="must match"):
             EdgeRule(Predicate("output", "=", 0), Predicate("weight", ">=", 0.5),
                      relation_label=label)
+
+    @pytest.mark.parametrize("label", BAD_LABELS + ["X}) DETACH DELETE (a", None, b"E"])
+    def test_hand_built_edge_label_must_be_identifier(self, label):
+        # edges given as tuples are written as unquoted as a rule's
+        columns = node_columns([(0, 1, 1, 0, 1), (1, 3, 3, 0, 2)], 4)
+        with pytest.raises(RuleError) as err:
+            DiffGraph(columns, [(0, 1, "E"), (1, 0, label)])
+        assert str(err.value) == f"relation label {label!r} must match [A-Za-z_][A-Za-z0-9_]*"
 
     @pytest.mark.parametrize("label", ["OUTPUT_WEIGHT", "HUB", "LINKS", "E", "F", "_x9"])
     def test_identifier_labels_accepted(self, label):
@@ -953,12 +964,23 @@ class TestEdgesReader:
             from_csv(self.NODES, edges.encode("utf-8"))
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("label", ['A"<B', "", "1A", "A B", "A;B"])
+    # a label is read right-aligned from a window padded with '0': one that
+    # starts with '0' or holds a NUL byte must not pass as a shorter one
+    PADDING_LABELS = ["0E", "0", "0_x", "E\x00", "\x00E"]
+
+    @pytest.mark.parametrize("label", ['A"<B', "", "1A", "A B", "A;B", *PADDING_LABELS])
     def test_label_that_is_not_an_identifier_names_its_line(self, label):
         edges = f"src_id,dst_id,label\n0,1,E\n1,0,{label}\n".encode("utf-8")
         with pytest.raises(ValueError) as err:
             from_csv(self.NODES, edges)
         assert str(err.value) == f"line 3: field 3 {LABEL_RULE}, got {label!r}"
+
+    @pytest.mark.parametrize("label", ["1A", *PADDING_LABELS])
+    def test_file_of_one_bad_label_names_its_first_line(self, label):
+        edges = f"src_id,dst_id,label\n0,1,{label}\n1,0,{label}\n".encode("utf-8")
+        with pytest.raises(ValueError) as err:
+            from_csv(self.NODES, edges)
+        assert str(err.value) == f"line 2: field 3 {LABEL_RULE}, got {label!r}"
 
     def test_good_lines_read(self):
         g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")

@@ -608,6 +608,12 @@ class TestMemory:
         ids_bytes = 8 * len(back)
         assert peak < 2.5 * (column_bytes(back) + ids_bytes)
 
+    def test_decode_holds_its_columns_and_one_run(self, table):
+        """Each run of lines is freed before the next is split."""
+        data = table.to_csv()
+        columns, peak = traced_peak(lambda: pddt_module.decode_differential_csv(data))
+        assert peak - sum(column.nbytes for column in columns[:5]) < 5 * 2**20
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_build_merges_without_copies(self, workers):
         """The last level, the table, holds its gathered parents and itself,
