@@ -429,28 +429,28 @@ class Fields:
         return values
 
     def labels(self, field: int, pattern, names: Dict[bytes, int]) -> np.ndarray:
-        """The field as labels that match the compiled `pattern`, each one's
-        index in `names`, which takes in the labels it does not hold. A label
-        is read from the right-aligned window an id is read from. No match of
-        `pattern` starts with '0', so stripping the window's '0' padding gives
-        the label; a field longer than that, such as one starting with '0' or
-        holding a NUL byte, is bad."""
-        start, end = self.starts[field], self.ends[field]
-        length = end - start
-        width = max(int(length.max(initial=1)), 1)
-        text = _right_aligned(self.buf, start, end, width)
-        keys = text.view(f"S{width}")[:, 0]  # bytes_ values drop NUL bytes at the end
-        if len(text) == 0 or (text == text[0]).all():  # a run of one label
-            distinct, inverse = keys[:1], np.zeros(len(keys), dtype=np.intp)
-        else:
-            distinct, inverse = np.unique(keys, return_inverse=True)
-        distinct = [key.lstrip(b"0") for key in distinct.tolist()]
-        # a label's length when it matches, else -1, which no field's length is
-        sizes = np.array([len(label) if pattern.fullmatch(label.decode("latin-1")) else -1
-                          for label in distinct], dtype=np.intp)
-        self.check(sizes[inverse] != length, field, f"a label matching {pattern.pattern}")
-        codes = [names.setdefault(label, len(names)) for label in distinct]
-        return np.array(codes, dtype=np.intp)[inverse]
+        """The field as labels that fully match the compiled `pattern`, each
+        one's index in `names`, which takes in the labels it does not hold."""
+        # labels of one length are rows of one byte matrix, read from their starts
+        start, length = self.starts[field], self.ends[field] - self.starts[field]
+        bad = length == 0
+        codes = np.zeros(len(length), dtype=np.intp)
+        for size in np.unique(length[~bad]).tolist():
+            at = np.flatnonzero(length == size)
+            text = np.lib.stride_tricks.sliding_window_view(self.buf, size)[start[at]]
+            if (text == text[0]).all():  # a run of one label
+                distinct, inverse = [text[0].tobytes()], np.zeros(len(at), dtype=np.intp)
+            else:
+                distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
+                distinct = distinct.tolist()
+            # bytes_ values drop NUL bytes at the end, so such a label is short
+            valid = [len(label) == size and pattern.fullmatch(label.decode("latin-1")) is not None
+                     for label in distinct]
+            bad[at] = ~np.array(valid)[inverse]
+            codes[at] = np.array([names.setdefault(label, len(names))
+                                  for label in distinct])[inverse]
+        self.check(bad, field, f"a label matching {pattern.pattern}")
+        return codes
 
     def raise_first(self) -> None:
         if self.errors:

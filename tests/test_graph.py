@@ -32,6 +32,7 @@ from diffgraph.graph import (
     to_graphml,
     to_nodes_csv,
 )
+from diffgraph import pddt as pddt_module
 from diffgraph.pddt import DEFAULT_MAX_ELEMENTS, Pddt, PddtConfig, node_columns
 from diffgraph.simon import ParameterError
 
@@ -964,8 +965,7 @@ class TestEdgesReader:
             from_csv(self.NODES, edges.encode("utf-8"))
         assert str(err.value) == message
 
-    # a label is read right-aligned from a window padded with '0': one that
-    # starts with '0' or holds a NUL byte must not pass as a shorter one
+    # labels that start with '0' or hold a NUL byte must not pass as shorter ones
     PADDING_LABELS = ["0E", "0", "0_x", "E\x00", "\x00E"]
 
     @pytest.mark.parametrize("label", ['A"<B', "", "1A", "A B", "A;B", *PADDING_LABELS])
@@ -981,6 +981,17 @@ class TestEdgesReader:
         with pytest.raises(ValueError) as err:
             from_csv(self.NODES, edges)
         assert str(err.value) == f"line 2: field 3 {LABEL_RULE}, got {label!r}"
+
+    @pytest.mark.parametrize("chunk", [1 << 19, 16], ids=["first-run", "later-run"])
+    @pytest.mark.parametrize("size", [24, 60, 80])
+    def test_long_label_after_a_short_one_read(self, monkeypatch, chunk, size):
+        # at chunk 16 the header is a run of its own, and both edges share the next
+        monkeypatch.setattr(pddt_module, "_READ_CHUNK_BYTES", chunk)
+        for long in ("A" * size, "A" * (size - 1) + "0"):
+            data = f"src_id,dst_id,label\n0,1,E\n1,0,{long}\n".encode()
+            g = from_csv(self.NODES, data)
+            assert g == DiffGraph(g.columns, reference_read_edges(data))
+            assert edge_rows(g) == [(0, 1, "E"), (1, 0, long)]
 
     def test_good_lines_read(self):
         g = from_csv(self.NODES, b"# note\r\nsrc_id,dst_id,label\r\n0,1,E\r\n\n1,1,F\n")
@@ -1041,6 +1052,15 @@ class TestMemory:
         back, peak = traced_peak(lambda: from_csv(nodes, edges))
         assert back == g
         assert peak < 8 * 2**20
+
+    def test_long_label_is_copied_once(self):
+        """One long label among short ones costs its own bytes, not a copy
+        of its length per row."""
+        nodes = (NODES_HEADER + "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n").encode()
+        edges = ("0,1,E\n" * 20_000 + "1,0," + "A" * 10_000 + "\n").encode()
+        g, peak = traced_peak(lambda: from_csv(nodes, edges))
+        assert len(g.edges) == 20_001
+        assert peak < 6 * 2**20  # 3.7 MiB; a 20,001 x 10,000 byte matrix is 191 MiB
 
     def test_graphml_holds_its_output_and_a_chunk(self):
         g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
