@@ -14,8 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -124,10 +123,10 @@ EDGE_RULE_PRESETS = {"default": default_edge_rule, "printed": printed_edge_rule}
 @dataclass(frozen=True, eq=False)
 class Edges:
     """Every edge of a graph as columns, duplicates included: edge i runs
-    from src[i] to dst[i] under labels[codes[i]]. The edges are in the
-    order of their sorted (src, dst, label) tuples, and `labels` holds the
-    labels in use, sorted, so that code order is label order. Iterating
-    gives those tuples."""
+    from src[i] to dst[i] under labels[codes[i]]. An Edges may be in any
+    order; DiffGraph.edges is always in edge order, the order of the sorted
+    (src, dst, label) tuples, with `labels` the labels in use, sorted, so
+    that code order is label order. Iterating gives those tuples."""
 
     src: np.ndarray    # int64
     dst: np.ndarray    # int64
@@ -147,17 +146,19 @@ class Edges:
                             (other.src, other.dst, other.codes))))
 
 
-def _sorted_edges(src: np.ndarray, dst: np.ndarray, codes: np.ndarray,
-                  labels: Sequence[str]) -> Edges:
-    """Edges of any order, whose codes index `labels`, each label in use."""
-    by_text = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = np.empty(len(labels), dtype=np.intp)
-    rank[by_text] = np.arange(len(labels))
-    codes = rank[codes]
+def _sorted_edges(edges: Edges) -> Edges:
+    """The edges in edge order under the labels in use, each label checked;
+    the codes are re-ranked only when the labels are not in order."""
+    src, dst, codes, labels = edges.src, edges.dst, edges.codes, edges.labels
+    for label in labels:
+        _check_label(label)
+    in_use = sorted({labels[k] for k in np.flatnonzero(np.bincount(codes, minlength=len(labels)))})
+    if list(labels) != in_use:
+        codes = np.array([bisect_left(in_use, label) for label in labels], dtype=np.intp)[codes]
     if not ascending(src, dst, codes):
         order = np.lexsort((codes, dst, src))
         src, dst, codes = src[order], dst[order], codes[order]
-    return Edges(src, dst, codes, tuple(labels[k] for k in by_text))
+    return Edges(src, dst, codes, tuple(in_use))
 
 
 class _Biclique(NamedTuple):
@@ -186,8 +187,9 @@ class _Biclique(NamedTuple):
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `columns` holds the nodes and `edges` every edge, sorted, duplicates
-    included; the edges are an Edges record or (src, dst, label) tuples.
+    `columns` holds the nodes and `edges` every edge in edge order,
+    duplicates included; the edges are given as an Edges record of any
+    order or as (src, dst, label) tuples, and their labels are checked.
     The rows that search reads are built on first read: `dp` maps each id
     to 2^-hw, and `successors[u]` and `predecessors[v]` are ascending id
     rows with duplicate edges removed, all in node order. Rows may be
@@ -200,7 +202,9 @@ class DiffGraph:
         ids = np.sort(columns.ids)
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
-        self.edges = edges if isinstance(edges, Edges) else _edges_of_rows(edges, ids)
+        if not isinstance(edges, Edges):
+            edges = _edges_of_rows(edges, ids)
+        self.edges = _sorted_edges(edges)
         src, dst = self.edges.src, self.edges.dst
         dangling = ~(np.isin(src, ids) & np.isin(dst, ids))
         if dangling.any():
@@ -283,7 +287,7 @@ class DiffGraph:
 
 
 def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edges:
-    """The Edges of (src, dst, label) rows, among nodes of the sorted ids."""
+    """The Edges of (src, dst, label) rows, in row order, among nodes of the sorted ids."""
     rows = list(rows)
     try:
         src, dst = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
@@ -293,9 +297,7 @@ def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edg
         raise ParameterError(f"edge ({src}, {dst}) references a missing node") from None
     names: Dict[str, int] = {}  # label -> its code, in first-seen order
     codes = np.array([names.setdefault(row[2], len(names)) for row in rows], dtype=np.intp)
-    for label in names:
-        _check_label(label)
-    return _sorted_edges(src, dst, codes, list(names))
+    return Edges(src, dst, codes, tuple(names))
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
@@ -331,11 +333,11 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
 class GraphStats:
     node_count: int
     edge_count: int
-    in_degree: Dict[int, int]
-    out_degree: Dict[int, int]
+    in_degree: np.ndarray         # int64, in node order, as are the columns below
+    out_degree: np.ndarray        # int64
     hubs: List[int]               # nodes of maximal in-degree, by id
     components: List[List[int]]   # undirected components, each sorted
-    clustering: Dict[int, float]  # undirected local clustering coefficient
+    clustering: np.ndarray        # float64 undirected local clustering coefficient
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
@@ -347,17 +349,14 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
                        for ends in (graph.edges.src, graph.edges.dst))
     max_in = int(in_deg.max(initial=0))
     hubs = np.sort(ids[in_deg == max_in]).tolist() if max_in > 0 else []
-    id_list = ids.tolist()
-    biclique = graph._biclique
-    if biclique is None:
-        components, clustering = _shape(id_list, graph.edges)
+    if graph._biclique is None:
+        components, clustering = _shape(ids, graph.edges)
     else:
-        components, clustering = _biclique_shape(ids, id_list, biclique)
-    return GraphStats(len(ids), len(graph.edges), dict(zip(id_list, in_deg.tolist())),
-                      dict(zip(id_list, out_deg.tolist())), hubs, components, clustering)
+        components, clustering = _biclique_shape(ids, out_deg > 0, in_deg > 0, graph._biclique)
+    return GraphStats(len(ids), len(graph.edges), in_deg, out_deg, hubs, components, clustering)
 
 
-def _shape(ids: List[int], edges: Edges) -> Tuple[List[List[int]], Dict[int, float]]:
+def _shape(ids: np.ndarray, edges: Edges) -> Tuple[List[List[int]], np.ndarray]:
     """Components and clustering of any graph, from its neighbour sets."""
     # undirected neighbour sets, self excluded, of the nodes that have an
     # edge to another node; every other node is a component of its own
@@ -369,10 +368,17 @@ def _shape(ids: List[int], edges: Edges) -> Tuple[List[List[int]], Dict[int, flo
 
     seen: Set[int] = set()
     components = []
-    for x in ids:
-        if x not in adj:
+    clustering = np.zeros(len(ids))
+    for i, x in enumerate(ids.tolist()):
+        nbrs = adj.get(x)
+        if nbrs is None:
             components.append([x])
             continue
+        # each linked pair {u, v} of x's neighbours is counted from u and from v
+        k = len(nbrs)
+        if k >= 2:
+            links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
+            clustering[i] = 2.0 * links / (k * (k - 1))
         if x in seen:
             continue
         comp, queue = [], deque([x])
@@ -385,27 +391,18 @@ def _shape(ids: List[int], edges: Edges) -> Tuple[List[List[int]], Dict[int, flo
                     seen.add(v)
                     queue.append(v)
         components.append(sorted(comp))
-
-    # each linked pair {u, v} of x's neighbours is counted from u and from v
-    clustering = dict.fromkeys(ids, 0.0)
-    for x, nbrs in adj.items():
-        k = len(nbrs)
-        if k >= 2:
-            links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
-            clustering[x] = 2.0 * links / (k * (k - 1))
     return components, clustering
 
 
-def _biclique_shape(ids: np.ndarray, id_list: List[int],
-                    biclique: _Biclique) -> Tuple[List[List[int]], Dict[int, float]]:
-    """Components and clustering of a biclique in closed form.
+def _biclique_shape(ids: np.ndarray, in_s: np.ndarray, in_t: np.ndarray,
+                    biclique: _Biclique) -> Tuple[List[List[int]], np.ndarray]:
+    """Components and clustering of a biclique in closed form; in_s and in_t mark S and T.
 
     S ∪ T is one component, since every node of it has an edge to another
     one unless S = T = {x}, and every other node is a component of its
     own. A node's neighbours, self excluded, are T, S or (S ∪ T) ∖ {x};
     of them, every pair is linked but those within S ∖ T and within T ∖ S.
     """
-    in_s, in_t = np.isin(ids, biclique.sources), np.isin(ids, biclique.targets)
     c = len(biclique.common)
     a, b = len(biclique.sources) - c, len(biclique.targets) - c
     clustering = np.zeros(len(ids))
@@ -417,7 +414,7 @@ def _biclique_shape(ids: np.ndarray, id_list: List[int],
     components = [[x] for x in ids[~joined].tolist()]
     if joined.any():
         components.insert(int(joined.argmax()), np.sort(ids[joined]).tolist())
-    return components, dict(zip(id_list, clustering.tolist()))
+    return components, clustering
 
 
 def _clustering(a: int, b: int, c: int) -> float:
@@ -498,9 +495,12 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
                     reached.append(u)
         frontier = reached
 
-    row = successors[src]
-    i = bisect_left(row, dst)
-    if i < len(row) and row[i] == dst:
+    def links_to_dst(u: int) -> bool:
+        row = successors[u]
+        i = bisect_left(row, dst)
+        return i < len(row) and row[i] == dst
+
+    if links_to_dst(src):
         fewest = 1
     else:
         while src not in dist and frontier and depth < max_hops:
@@ -509,36 +509,40 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
             return []
         fewest = dist[src]
 
-    path = [src]
-    on_path = {src}
     layer: List[PathResult] = []
     expanded = 0
 
-    def extend(u: int, total: float, left: int):
-        """Every simple path that continues the current one from its last
-        node u to dst in exactly `left` more hops."""
+    def extend(hops: int):
+        """Every simple path src -> dst of exactly `hops` hops, into layer,
+        by a depth-first walk over an explicit stack: rows[k] holds the
+        successors of path[k] not yet tried, and totals[k] the path's
+        accumulated probability up to path[k]."""
         nonlocal expanded
-        expanded += 1
-        row = successors[u]
-        if left == 1:
-            i = bisect_left(row, dst)
-            if i < len(row) and row[i] == dst:
-                layer.append(PathResult(tuple(path) + (dst,), total + dp[dst]))
-            return
-        for v in row:
-            if dist.get(v, left) < left and v not in on_path and v != dst:
+        path, totals, on_path, rows = [src], [dp[src]], {src}, []
+        while path:
+            u, left = path[-1], hops + 1 - len(path)  # u is `left` hops from dst
+            if len(rows) < len(path):  # u was just reached
+                expanded += 1
+                if left == 1 and links_to_dst(u):
+                    layer.append(PathResult(tuple(path) + (dst,), totals[-1] + dp[dst]))
+                rows.append(iter(successors[u] if left > 1 else ()))
+            v = next((v for v in rows[-1]
+                      if dist.get(v, left) < left and v not in on_path and v != dst), None)
+            if v is None:
+                rows.pop()
+                on_path.remove(path.pop())
+                totals.pop()
+            else:
                 path.append(v)
                 on_path.add(v)
-                extend(v, total + dp[v], left - 1)
-                path.pop()
-                on_path.remove(v)
+                totals.append(totals[-1] + dp[v])
 
     results: List[PathResult] = []
     for hops in range(fewest, max_hops + 1):
         while depth < hops - 1:
             deepen()
         layer.clear()
-        extend(src, dp[src], hops)
+        extend(hops)
         results.extend(sorted(layer, key=lambda p: p.rank_key))
         if len(results) >= limit:
             break
@@ -573,13 +577,13 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 
 
 def _read_edges(data: bytes) -> Edges:
-    """The edges of an edges CSV."""
+    """The edges of an edges CSV, in file order."""
     names: Dict[bytes, int] = {}  # label -> its code
     src, dst, codes = read_columns(
         data, b"src_id,", 3, (np.int64, np.int64, np.intp),
         lambda lines: [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
                        lines.labels(2, _LABEL, names)])
-    return _sorted_edges(src, dst, codes, [name.decode("ascii") for name in names])
+    return Edges(src, dst, codes, tuple(name.decode("ascii") for name in names))
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:

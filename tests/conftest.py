@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,18 @@ def node_rows(columns) -> list:
 def edge_rows(graph: DiffGraph) -> list:
     """(src, dst, label) tuples of a graph's edges, in edge order."""
     return list(graph.edges)
+
+
+def stats_by_id(stats, graph: DiffGraph):
+    """The stats with their degree and clustering columns, which are in
+    node order, as dicts keyed by node id, as `reference_stats` gives them."""
+    ids = graph.columns.ids.tolist()
+    columns = {"in_degree": np.int64, "out_degree": np.int64, "clustering": np.float64}
+    for name, dtype in columns.items():
+        column = getattr(stats, name)
+        assert column.dtype == dtype and column.shape == (len(ids),), name
+    return dataclasses.replace(stats, **{name: dict(zip(ids, getattr(stats, name).tolist()))
+                                         for name in columns})
 
 
 def triple_set(table: Pddt) -> set:

@@ -166,6 +166,20 @@ class TestPipeline:
                    "--src", 0, "--dst", 1, "--max-hops", 2, "--limit", 5) == 0
         assert "hops=" in capsys.readouterr().out
 
+    def test_paths_along_a_chain_past_the_recursion_limit(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         + "".join(f"{i},{i:#x},{i:#x},0x0,0.5,1\n" for i in range(1200)))
+        edges.write_text("src_id,dst_id,label\n" + "".join(f"{i},{i + 1},E\n" for i in range(1199)))
+        files = ("--nodes", nodes, "--edges", edges, "--src", 0, "--dst", 1199)
+        assert run(tmp_path, "graph", "paths", *files, "--max-hops", 1199) == 0
+        path = "->".join(map(str, range(1200)))
+        assert capsys.readouterr().out == f"1: hops=1199 total_dp=600.0 path={path}\n"
+        assert run(tmp_path, "bench", "compare", *files, "--playouts", 1, "--max-depth", 1199) == 0
+        rows = [row.split(",")[:6] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["mcs", "0", "1", "1199", "600.0", "1199"],
+                        ["graph", "0", "0", "1199", "600.0", "1199"]]
+
     def test_paths_negative_limit_is_runtime_error(self, tmp_path, capsys):
         nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
         nodes.write_text("id,input_a,input_b,output,weight,hw\n"

@@ -1,12 +1,13 @@
 import operator
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
-                      node_rows, over_edge_limit_sample, traced_peak)
+                      node_rows, over_edge_limit_sample, stats_by_id, traced_peak)
 from diffgraph.bench import McsConfig, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
@@ -14,6 +15,7 @@ from diffgraph.graph import (
     NODE_FIELDS,
     DiffGraph,
     EdgeRule,
+    Edges,
     GraphStats,
     PathResult,
     PathSearchWork,
@@ -401,11 +403,14 @@ class TestEdgeRule:
 
     @pytest.mark.parametrize("label", BAD_LABELS + ["X}) DETACH DELETE (a", None, b"E"])
     def test_hand_built_edge_label_must_be_identifier(self, label):
-        # edges given as tuples are written as unquoted as a rule's
+        # edges given as tuples or as an Edges record are written as
+        # unquoted as a rule's; "A,B" would make a line from_csv rejects
         columns = node_columns([(0, 1, 1, 0, 1), (1, 3, 3, 0, 2)], 4)
-        with pytest.raises(RuleError) as err:
-            DiffGraph(columns, [(0, 1, "E"), (1, 0, label)])
-        assert str(err.value) == f"relation label {label!r} must match [A-Za-z_][A-Za-z0-9_]*"
+        for edges in ([(0, 1, "E"), (1, 0, label)],
+                      Edges(np.array([0, 1]), np.array([1, 0]), np.array([0, 1]), ("E", label))):
+            with pytest.raises(RuleError) as err:
+                DiffGraph(columns, edges)
+            assert str(err.value) == f"relation label {label!r} must match [A-Za-z_][A-Za-z0-9_]*"
 
     @pytest.mark.parametrize("label", ["OUTPUT_WEIGHT", "HUB", "LINKS", "E", "F", "_x9"])
     def test_identifier_labels_accepted(self, label):
@@ -476,6 +481,52 @@ class TestBuildGraph:
             monkeypatch.setattr(np, name, bounded(getattr(np, name)))
         _, peak = traced_peak(refused)
         assert peak < 2**20  # the node ids and the two selections
+
+
+class TestEdgeOrder:
+    """Every edge set, rows, a read file, a rule's product or a hand-built
+    Edges, enters a graph through one door: it is put in edge order under
+    the labels in use, sorted, and each label is checked."""
+
+    COLUMNS = node_columns([(i, i, i, 0, 1) for i in range(4)], 4)
+
+    def test_hand_built_edges_are_put_in_edge_order(self):
+        g = DiffGraph(self.COLUMNS, Edges(np.array([1, 0, 0]), np.array([2, 3, 2]),
+                                          np.zeros(3, dtype=np.intp), ("E",)))
+        assert edge_rows(g) == [(0, 2, "E"), (0, 3, "E"), (1, 2, "E")]
+        assert g.successors[0] == [2, 3]
+        assert find_optimal_paths(g, 0, 3, 2, 5) == [PathResult((0, 3), 1.0)]
+        assert to_edges_csv(g) == b"src_id,dst_id,label\n0,2,E\n0,3,E\n1,2,E\n"
+        assert from_csv(to_nodes_csv(g), to_edges_csv(g)) == g
+
+    def test_labels_are_ranked_and_unused_ones_dropped(self):
+        g = DiffGraph(self.COLUMNS, Edges(np.array([0, 0]), np.array([1, 1]), np.array([2, 0]),
+                                          ("F", "Z", "E")))
+        assert g.edges.labels == ("E", "F")
+        assert edge_rows(g) == [(0, 1, "E"), (0, 1, "F")]
+        assert g == DiffGraph(self.COLUMNS, [(0, 1, "F"), (0, 1, "E")])
+
+    def test_rule_graph_keeps_its_codes_view(self, hub_graph):
+        # one label in order: no code array is made for the product
+        assert hub_graph.edges.codes.strides == (0,)
+
+    @settings(deadline=None)
+    @given(any_digraphs(), st.data())
+    def test_any_order_makes_the_same_graph(self, g, data):
+        rows = data.draw(st.permutations(edge_rows(g)))
+        labels = data.draw(st.permutations(["E", "F", "Z"]))
+        h = DiffGraph(g.columns, Edges(np.array([row[0] for row in rows], dtype=np.int64),
+                                       np.array([row[1] for row in rows], dtype=np.int64),
+                                       np.array([labels.index(row[2]) for row in rows],
+                                                dtype=np.intp), tuple(labels)))
+        assert h == g and edge_rows(h) == edge_rows(g)
+        assert (h.successors, h.predecessors) == (g.successors, g.predecessors)
+        assert stats_by_id(graph_stats(h), h) == stats_by_id(graph_stats(g), g)
+        ids = g.columns.ids.tolist()
+        for src in ids:
+            for dst in ids:
+                assert (find_optimal_paths(h, src, dst, 3, 5)
+                        == find_optimal_paths(g, src, dst, 3, 5))
 
 
 class TestAdjacency:
@@ -598,7 +649,7 @@ class TestBiclique:
 
     @staticmethod
     def check(g):
-        assert graph_stats(g) == reference_stats(g)
+        assert stats_by_id(graph_stats(g), g) == reference_stats(g)
         successors, predecessors = reference_adjacency(g)
         assert g.successors == {u: sorted(set(row)) for u, row in successors.items()}
         assert g.predecessors == {u: sorted(set(row)) for u, row in predecessors.items()}
@@ -653,10 +704,10 @@ class TestStats:
 
     @given(any_digraphs())
     def test_matches_reference(self, g):
-        assert graph_stats(g) == reference_stats(g)
+        assert stats_by_id(graph_stats(g), g) == reference_stats(g)
 
     def test_hub_fixture_matches_reference(self, hub_graph):
-        assert graph_stats(hub_graph) == reference_stats(hub_graph)
+        assert stats_by_id(graph_stats(hub_graph), hub_graph) == reference_stats(hub_graph)
 
 
 class TestPaths:
@@ -731,6 +782,17 @@ class TestPaths:
             every = reference_paths(hub_graph, src, dst, 3)
             for limit in (1, 7, 100, 10_000):
                 assert find_optimal_paths(hub_graph, src, dst, 3, limit) == every[:limit]
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # a chain i -> i+1 of 1,200 nodes has one path, of 1,199 hops
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in range(n)], 16),
+                      [(i, i + 1, "E") for i in range(n - 1)])
+        work = PathSearchWork()
+        assert find_optimal_paths(g, 0, n - 1, n - 1, 5, work) == [
+            PathResult(tuple(range(n)), n * 0.5)]
+        assert work.expansions == n - 1
 
     @settings(deadline=None)
     @given(any_digraphs())
