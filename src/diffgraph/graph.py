@@ -19,9 +19,9 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tu
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
-                   ascending, decode_differential_csv, differential_csv, differential_lines,
-                   join_lines, read_columns)
+from .pddt import (_MAX_ID_DIGITS, DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex,
+                   Pddt, Lines, ascending, check_columns, decode_differential_csv,
+                   differential_csv, differential_lines, join_lines, read_columns)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -150,6 +150,12 @@ def _sorted_edges(edges: Edges) -> Edges:
     """The edges in edge order under the labels in use, each label checked;
     the codes are re-ranked only when the labels are not in order."""
     src, dst, codes, labels = edges.src, edges.dst, edges.codes, edges.labels
+    if not len(src) == len(dst) == len(codes):
+        raise ParameterError(f"edge columns of lengths {len(src)}, {len(dst)}, {len(codes)}")
+    if not all(np.issubdtype(x.dtype, np.integer) for x in (src, dst, codes)):
+        raise ParameterError("edge columns must be integer arrays")
+    if len(codes) and not 0 <= codes.min() <= codes.max() < len(labels):
+        raise ParameterError(f"edge label codes must index the {len(labels)} labels")
     for label in labels:
         _check_label(label)
     in_use = sorted({labels[k] for k in np.flatnonzero(np.bincount(codes, minlength=len(labels)))})
@@ -187,9 +193,10 @@ class _Biclique(NamedTuple):
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `columns` holds the nodes and `edges` every edge in edge order,
-    duplicates included; the edges are given as an Edges record of any
-    order or as (src, dst, label) tuples, and their labels are checked.
+    `columns` holds the nodes, checked as a table's columns are, with
+    distinct ids in 0..10^18 - 1, and `edges` every edge in edge order,
+    duplicates included; edges are given as an Edges record of any order
+    or as (src, dst, label) tuples, and their columns and labels checked.
     The rows that search reads are built on first read: `dp` maps each id
     to 2^-hw, and `successors[u]` and `predecessors[v]` are ascending id
     rows with duplicate edges removed, all in node order. Rows may be
@@ -199,9 +206,14 @@ class DiffGraph:
     def __init__(self, columns: DifferentialColumns,
                  edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
         self.columns = columns
+        check_columns(columns[:5], columns.word_size)
         ids = np.sort(columns.ids)
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
+        if len(ids) and ids[0] < 0:
+            raise ParameterError("row ids must be non-negative")
+        if len(ids) and ids[-1] >= 10 ** _MAX_ID_DIGITS:
+            raise ParameterError(f"row id {ids[-1]} has more than {_MAX_ID_DIGITS} digits")
         if not isinstance(edges, Edges):
             edges = _edges_of_rows(edges, ids)
         self.edges = _sorted_edges(edges)

@@ -109,6 +109,7 @@ class Pddt:
         self.b = np.asarray(b, dtype=np.uint64)
         self.c = np.asarray(c, dtype=np.uint64)
         self.hw = np.asarray(hw, dtype=np.uint8)
+        check_columns((self.a, self.b, self.c, self.hw), config.word_size)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -198,6 +199,18 @@ _NEWLINE, _CR, _COMMA, _ZERO = ord("\n"), ord("\r"), ord(","), ord("0")
 _PAD = np.zeros(_MAX_ID_DIGITS, dtype=np.uint8)
 
 
+def check_columns(columns, word_size: int) -> None:
+    """Raise ParameterError unless the columns, [ids,] a, b, c, hw, have one
+    length, the word size is in 1..64 and every a, b, c word fits in it."""
+    if len({len(x) for x in columns}) > 1:
+        raise ParameterError(f"columns of lengths {[len(x) for x in columns]} differ")
+    if not 1 <= word_size <= 64:
+        raise ParameterError(f"word size {word_size} outside 1..64")
+    top = max(int(x.max(initial=0)) for x in columns[-4:-1])
+    if top >> word_size:
+        raise ParameterError(f"value {top:#x} does not fit in {word_size} bits")
+
+
 class DifferentialColumns(NamedTuple):
     """Columns of a differential CSV in file order."""
 
@@ -228,7 +241,7 @@ class Lines:
     """One line per row: the pieces in order, then tails[codes[row]].
 
     A piece is literal bytes or a Dec or Hex slot that reads its column of
-    `columns`; Hex values must fit in word_size bits. `size` is the bytes
+    `columns`, which its record's constructor has checked. `size` is the bytes
     the lines take. `write` lays each chunk of rows out as a fixed-width
     byte matrix, and a keep mask drops the unused leading bytes of every
     Dec slot and the unused end of every tail when the matrix is
@@ -243,23 +256,12 @@ class Lines:
             return
         widths = {}  # column -> bytes of its slots
         for piece in pieces:
-            if isinstance(piece, bytes) or piece.column in widths:
-                continue
-            x = columns[piece.column]
-            if isinstance(piece, Dec):
-                if isinstance(x, range):  # range(n)
-                    low, top = 0, len(x) - 1
-                else:
-                    low, top = int(x.min()), int(x.max())
-                if low < 0:
-                    raise ParameterError("row ids must be non-negative")
-                if top >= 10 ** _MAX_ID_DIGITS:
-                    raise ParameterError(f"row id {top} has more than {_MAX_ID_DIGITS} digits")
-                widths[piece.column] = 2 * -(-len(str(top)) // 2)  # written two digits at a time
-            elif int(x.max()) >> word_size:
-                raise ParameterError(f"value {int(x.max()):#x} does not fit in {word_size} bits")
-            else:
+            if isinstance(piece, Hex):
                 widths[piece.column] = -(-word_size // 4)
+            elif isinstance(piece, Dec) and piece.column not in widths:
+                x = columns[piece.column]  # an id column, or range(n)
+                top = len(x) - 1 if isinstance(x, range) else int(x.max())
+                widths[piece.column] = 2 * -(-len(str(top)) // 2)  # written two digits at a time
         self.slots, start = [], 0  # (piece, first byte, width) per piece
         for piece in pieces:
             width = len(piece) if isinstance(piece, bytes) else widths[piece.column]

@@ -88,7 +88,7 @@ def digraphs(draw, max_nodes=9):
     nodes = [(i, i, i, 0, hw) for i, hw in zip(ids, hws)]
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                                     st.sampled_from(["E", "F"])), max_size=40))
-    return DiffGraph(node_columns(nodes, 4), edges)
+    return DiffGraph(node_columns(nodes, 8), edges)
 
 
 @st.composite
@@ -101,7 +101,7 @@ def dense_digraphs(draw, max_nodes=7):
     flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     pairs = [(u, v) for u in ids for v in ids]
     edges = [(u, v, "E") for (u, v), flag in zip(pairs, flags) if flag]
-    return DiffGraph(node_columns([(i, i, i, 0, 0) for i in ids], 4), edges)
+    return DiffGraph(node_columns([(i, i, i, 0, 0) for i in ids], 8), edges)
 
 
 

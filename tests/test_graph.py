@@ -506,6 +506,17 @@ class TestEdgeOrder:
         assert edge_rows(g) == [(0, 1, "E"), (0, 1, "F")]
         assert g == DiffGraph(self.COLUMNS, [(0, 1, "F"), (0, 1, "E")])
 
+    @pytest.mark.parametrize("src, dst, codes, message", [
+        ([0, 1], [1], [0], "edge columns of lengths 2, 1, 1"),
+        ([0], [1], [1], "edge label codes must index the 1 labels"),
+        ([0], [1], [-1], "edge label codes must index the 1 labels"),
+        ([0.0], [1.0], [0], "edge columns must be integer arrays"),
+    ], ids=["short dst", "code past the labels", "negative code", "float ends"])
+    def test_malformed_edges_rejected(self, src, dst, codes, message):
+        edges = Edges(np.array(src), np.array(dst), np.array(codes, dtype=np.intp), ("E",))
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            DiffGraph(self.COLUMNS, edges)
+
     def test_rule_graph_keeps_its_codes_view(self, hub_graph):
         # one label in order: no code array is made for the product
         assert hub_graph.edges.codes.strides == (0,)
@@ -548,6 +559,20 @@ class TestAdjacency:
         edges = [(3, 0, "E"), (2, 9, "E"), (0, 7, "E"), (5, 2, "E")]
         with pytest.raises(ParameterError, match=r"^edge \(0, 7\) references a missing node$"):
             DiffGraph(node_columns(nodes, 4), edges)
+
+    def test_id_column_longer_than_the_rest_rejected(self):
+        columns = node_columns([(0, 0, 0, 0, 1), (1, 1, 1, 0, 1)], 4)._replace(ids=np.arange(3))
+        with pytest.raises(ParameterError, match=r"^columns of lengths \[3, 2, 2, 2, 2\] differ$"):
+            DiffGraph(columns, [(0, 2, "E")])
+
+    @pytest.mark.parametrize("word_size", [0, 65, 70])
+    def test_word_size_outside_1_to_64_rejected(self, word_size):
+        with pytest.raises(ParameterError, match=f"^word size {word_size} outside 1..64$"):
+            DiffGraph(node_columns([(0, 0, 0, 0, 1)], word_size), [])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ParameterError, match="^row ids must be non-negative$"):
+            DiffGraph(node_columns([(3, 0, 0, 0, 1), (-1, 0, 0, 0, 1)], 4), [])
 
     @pytest.mark.parametrize("big", [2**63, 2**64, -2**63 - 1])
     def test_id_beyond_int64_is_a_dangling_edge(self, big):
@@ -612,7 +637,7 @@ def near_bicliques(draw):
     if pairs:
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
     edges = [(u, v, draw(st.sampled_from(["E", "F"]))) for u, v in pairs]
-    return DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in ids], 4), edges)
+    return DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in ids], 8), edges)
 
 
 def overlapping_biclique(self_loops):
@@ -900,7 +925,6 @@ class TestExports:
     @given(any_digraphs())
     def test_graphs_match_reference_exports(self, g):
         # unordered ids, two labels and repeated edges; node words reach 30
-        g = DiffGraph(g.columns._replace(word_size=8), g.edges)
         for export, reference in REFERENCE_EXPORTS.items():
             assert export(g) == reference(g)
         assert from_csv(to_nodes_csv(g), to_edges_csv(g)) == g
@@ -916,16 +940,18 @@ class TestExports:
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     @pytest.mark.parametrize("field", [1, 2, 3])
     def test_value_wider_than_word_size_rejected(self, fmt, field):
+        # the graph is refused when it is made; one bit more and it is written
         values = [0, 0, 0]
         values[field - 1] = 0x10
-        g = DiffGraph(node_columns([(0, *values, 0)], 4), [])
-        with pytest.raises(ParameterError, match="does not fit in 4 bits"):
-            export_graph(g, fmt)
+        with pytest.raises(ParameterError, match=r"^value 0x10 does not fit in 4 bits$"):
+            DiffGraph(node_columns([(0, *values, 0)], 4), [])
+        g = DiffGraph(node_columns([(0, *values, 0)], 5), [])
+        assert any(b"0x10" in data for data in export_graph(g, fmt).values())
 
     def test_id_the_reader_refuses_is_not_written(self):
-        g = DiffGraph(node_columns([(10**18, 0, 0, 0, 0)], 4), [])
-        with pytest.raises(ParameterError, match="row id 1000000000000000000 has more than 18"):
-            to_nodes_csv(g)
+        with pytest.raises(ParameterError,
+                           match=r"^row id 1000000000000000000 has more than 18 digits$"):
+            DiffGraph(node_columns([(10**18, 0, 0, 0, 0)], 4), [])
 
     def test_largest_id_round_trips(self):
         g = DiffGraph(node_columns([(10**18 - 1, 0x5, 0x3, 0x6, 1)], 4), [])
@@ -935,9 +961,10 @@ class TestExports:
 
     @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
     def test_value_within_hex_width_but_wider_than_word_size_rejected(self, fmt):
-        g = DiffGraph(node_columns([(0, 0xff, 0, 0, 0)], 5), [])
-        with pytest.raises(ParameterError, match="does not fit in 5 bits"):
-            export_graph(g, fmt)
+        with pytest.raises(ParameterError, match=r"^value 0xff does not fit in 5 bits$"):
+            DiffGraph(node_columns([(0, 0xff, 0, 0, 0)], 5), [])
+        g = DiffGraph(node_columns([(0, 0xff, 0, 0, 0)], 8), [])
+        assert any(b"0xff" in data for data in export_graph(g, fmt).values())
 
     def test_unknown_format(self):
         with pytest.raises(ParameterError):

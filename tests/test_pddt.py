@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import logging
 import random
+import re
 import threading
 
 import numpy as np
@@ -430,6 +431,19 @@ class TestStats:
         assert sum(s.weight_histogram.values()) == s.entries == len(t)
 
 
+class TestColumnsChecked:
+    """A table is checked when it is made, so the writer, the sampler and
+    the statistics never meet a malformed one."""
+
+    @pytest.mark.parametrize("short", range(4), ids=["a", "b", "c", "hw"])
+    def test_short_column_rejected(self, short):
+        cols = [[1, 2], [1, 1], [0, 0], [1, 1]]
+        cols[short] = cols[short][:1]
+        lengths = [1 if k == short else 2 for k in range(4)]
+        with pytest.raises(ParameterError, match=re.escape(f"columns of lengths {lengths} differ")):
+            Pddt(PddtConfig(4, 0.5), *cols)
+
+
 class TestSerialization:
     GOLDEN = (
         "id,a,b,c,dp,hw\n"
@@ -540,8 +554,8 @@ class TestCodec:
         for field in range(3):
             cols = [[0], [0], [0]]
             cols[field] = [0x20]
-            with pytest.raises(ParameterError, match="does not fit in 5 bits"):
-                Pddt(PddtConfig(5, 0.5), *cols, [0]).to_csv()
+            with pytest.raises(ParameterError, match=r"^value 0x20 does not fit in 5 bits$"):
+                Pddt(PddtConfig(5, 0.5), *cols, [0])
 
     def test_empty_input(self):
         for data in (b"", b"id,a,b,c,dp,hw\n", b"# only a comment\n\n"):
