@@ -19,13 +19,14 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tu
 import numpy as np
 
 from .errors import ParameterError
-from .pddt import (_MAX_ID_DIGITS, DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex,
-                   Pddt, Lines, ascending, check_columns, decode_differential_csv,
-                   differential_csv, differential_lines, join_lines, read_columns)
+from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
+                   ascending, check_columns, decode_differential_csv, differential_csv,
+                   differential_lines, join_lines, read_columns, typed)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
 NODE_FIELDS = tuple(_NODE_COLUMNS)
+EDGE_DTYPES = (np.int64, np.int64, np.intp)  # src, dst, codes
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq, "==": operator.eq}
 
@@ -128,7 +129,7 @@ class Edges:
     (src, dst, label) tuples, with `labels` the labels in use, sorted, so
     that code order is label order. Iterating gives those tuples."""
 
-    src: np.ndarray    # int64
+    src: np.ndarray    # int64; a hand-built Edges may hold lists of ints
     dst: np.ndarray    # int64
     codes: np.ndarray  # intp
     labels: Tuple[str, ...]
@@ -147,13 +148,13 @@ class Edges:
 
 
 def _sorted_edges(edges: Edges) -> Edges:
-    """The edges in edge order under the labels in use, each label checked;
-    the codes are re-ranked only when the labels are not in order."""
-    src, dst, codes, labels = edges.src, edges.dst, edges.codes, edges.labels
+    """The edges typed, in edge order under the labels in use, each label
+    checked; the codes are re-ranked only when the labels are not in order."""
+    src, dst, codes = (typed(x, dtype, "edge columns")
+                       for x, dtype in zip((edges.src, edges.dst, edges.codes), EDGE_DTYPES))
+    labels = edges.labels
     if not len(src) == len(dst) == len(codes):
         raise ParameterError(f"edge columns of lengths {len(src)}, {len(dst)}, {len(codes)}")
-    if not all(np.issubdtype(x.dtype, np.integer) for x in (src, dst, codes)):
-        raise ParameterError("edge columns must be integer arrays")
     if len(codes) and not 0 <= codes.min() <= codes.max() < len(labels):
         raise ParameterError(f"edge label codes must index the {len(labels)} labels")
     for label in labels:
@@ -193,10 +194,10 @@ class _Biclique(NamedTuple):
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `columns` holds the nodes, checked as a table's columns are, with
-    distinct ids in 0..10^18 - 1, and `edges` every edge in edge order,
-    duplicates included; edges are given as an Edges record of any order
-    or as (src, dst, label) tuples, and their columns and labels checked.
+    `columns` holds the nodes, typed and checked by `check_columns`, and
+    `edges` every edge in edge order, duplicates included; edges are given
+    as an Edges record of any order or as (src, dst, label) tuples, and
+    their columns typed and their labels checked.
     The rows that search reads are built on first read: `dp` maps each id
     to 2^-hw, and `successors[u]` and `predecessors[v]` are ascending id
     rows with duplicate edges removed, all in node order. Rows may be
@@ -205,19 +206,12 @@ class DiffGraph:
 
     def __init__(self, columns: DifferentialColumns,
                  edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
-        self.columns = columns
-        check_columns(columns[:5], columns.word_size)
-        ids = np.sort(columns.ids)
-        if (ids[1:] == ids[:-1]).any():
-            raise ParameterError("duplicate node ids")
-        if len(ids) and ids[0] < 0:
-            raise ParameterError("row ids must be non-negative")
-        if len(ids) and ids[-1] >= 10 ** _MAX_ID_DIGITS:
-            raise ParameterError(f"row id {ids[-1]} has more than {_MAX_ID_DIGITS} digits")
+        self.columns = DifferentialColumns(*check_columns(columns[:5], columns.word_size),
+                                           columns.word_size)
         if not isinstance(edges, Edges):
-            edges = _edges_of_rows(edges, ids)
+            edges = _edges_of_rows(edges, self.columns.ids)
         self.edges = _sorted_edges(edges)
-        src, dst = self.edges.src, self.edges.dst
+        src, dst, ids = self.edges.src, self.edges.dst, self.columns.ids
         dangling = ~(np.isin(src, ids) & np.isin(dst, ids))
         if dangling.any():
             i = int(dangling.argmax())
@@ -299,16 +293,16 @@ class DiffGraph:
 
 
 def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edges:
-    """The Edges of (src, dst, label) rows, in row order, among nodes of the sorted ids."""
+    """The Edges of (src, dst, label) rows, in row order, among nodes of the ids."""
     rows = list(rows)
     try:
-        src, dst = (np.array([row[k] for row in rows], dtype=np.int64) for k in (0, 1))
+        src, dst = (np.array([row[k] for row in rows], dtype=EDGE_DTYPES[k]) for k in (0, 1))
     except OverflowError:  # an id beyond int64 is no node's
         known = set(ids.tolist())
         src, dst, _label = min(row for row in rows if not {row[0], row[1]} <= known)
         raise ParameterError(f"edge ({src}, {dst}) references a missing node") from None
     names: Dict[str, int] = {}  # label -> its code, in first-seen order
-    codes = np.array([names.setdefault(row[2], len(names)) for row in rows], dtype=np.intp)
+    codes = np.array([names.setdefault(row[2], len(names)) for row in rows], dtype=EDGE_DTYPES[2])
     return Edges(src, dst, codes, tuple(names))
 
 
@@ -592,7 +586,7 @@ def _read_edges(data: bytes) -> Edges:
     """The edges of an edges CSV, in file order."""
     names: Dict[bytes, int] = {}  # label -> its code
     src, dst, codes = read_columns(
-        data, b"src_id,", 3, (np.int64, np.int64, np.intp),
+        data, b"src_id,", 3, EDGE_DTYPES,
         lambda lines: [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
                        lines.labels(2, _LABEL, names)])
     return Edges(src, dst, codes, tuple(name.decode("ascii") for name in names))

@@ -88,12 +88,10 @@ DP_OF_HW = [2.0 ** -w for w in range(256)]
 
 
 def node_columns(rows, word_size: int) -> DifferentialColumns:
-    """The columns of (node_id, a, b, c, hw) rows."""
+    """The columns of (node_id, a, b, c, hw) rows, checked as a graph's are."""
     rows = list(rows)
-    ids, a, b, c, hw = ([row[k] for row in rows] for k in range(5))
-    return DifferentialColumns(np.array(ids, dtype=np.int64),
-                               *(np.array(x, dtype=np.uint64) for x in (a, b, c)),
-                               np.array(hw, dtype=np.uint8), word_size)
+    columns = check_columns([[row[k] for row in rows] for k in range(5)], word_size)
+    return DifferentialColumns(*columns, word_size)
 
 
 class Pddt:
@@ -105,11 +103,7 @@ class Pddt:
 
     def __init__(self, config: PddtConfig, a, b, c, hw):
         self.config = config
-        self.a = np.asarray(a, dtype=np.uint64)
-        self.b = np.asarray(b, dtype=np.uint64)
-        self.c = np.asarray(c, dtype=np.uint64)
-        self.hw = np.asarray(hw, dtype=np.uint8)
-        check_columns((self.a, self.b, self.c, self.hw), config.word_size)
+        self.a, self.b, self.c, self.hw = check_columns((a, b, c, hw), config.word_size)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -169,6 +163,7 @@ _READ_CHUNK_BYTES = 1 << 19
 _MAX_HEX_DIGITS = 16   # a uint64 column
 _MAX_ID_DIGITS = 18    # fits int64
 _MAX_HW = 255          # a uint8 column
+COLUMN_DTYPES = (np.int64, np.uint64, np.uint64, np.uint64, np.uint8)  # ids, a, b, c, hw
 
 _BAD_DIGIT = 255
 
@@ -199,9 +194,27 @@ _NEWLINE, _CR, _COMMA, _ZERO = ord("\n"), ord("\r"), ord(","), ord("0")
 _PAD = np.zeros(_MAX_ID_DIGITS, dtype=np.uint8)
 
 
-def check_columns(columns, word_size: int) -> None:
-    """Raise ParameterError unless the columns, [ids,] a, b, c, hw, have one
-    length, the word size is in 1..64 and every a, b, c word fits in it."""
+def typed(x, dtype, noun: str = "columns") -> np.ndarray:
+    """x as a one-dimensional array of `dtype`, x itself when it is one;
+    ParameterError unless x holds integers that the dtype keeps."""
+    info = np.iinfo(dtype)
+    if not isinstance(x, np.ndarray):  # numpy reads the ints [0, 2**63] as floats
+        ints = np.ndim(x) == 1 and all(isinstance(v, int) and info.min <= v <= info.max for v in x)
+        x = np.asarray(x, dtype if ints else None)
+    if x.ndim != 1:
+        raise ParameterError(f"{noun} must be one-dimensional")
+    if x.dtype.kind not in "iu":
+        raise ParameterError(f"{noun} must be integer arrays")
+    if x.dtype != dtype and len(x) and not info.min <= int(x.min()) <= int(x.max()) <= info.max:
+        raise ParameterError(f"{noun} must hold integers in {info.min}..{info.max}")
+    return x.astype(dtype, copy=False)
+
+
+def check_columns(columns, word_size: int) -> list:
+    """The columns, [ids,] a, b, c, hw, typed in COLUMN_DTYPES; ParameterError
+    unless they have one length, the word size is in 1..64, every a, b, c
+    word fits in it and any ids are distinct and in 0..10^18 - 1."""
+    columns = list(map(typed, columns, COLUMN_DTYPES[-len(columns):]))
     if len({len(x) for x in columns}) > 1:
         raise ParameterError(f"columns of lengths {[len(x) for x in columns]} differ")
     if not 1 <= word_size <= 64:
@@ -209,6 +222,15 @@ def check_columns(columns, word_size: int) -> None:
     top = max(int(x.max(initial=0)) for x in columns[-4:-1])
     if top >> word_size:
         raise ParameterError(f"value {top:#x} does not fit in {word_size} bits")
+    if len(columns) == 5:
+        ids = np.sort(columns[0])
+        if (ids[1:] == ids[:-1]).any():
+            raise ParameterError("duplicate node ids")
+        if len(ids) and ids[0] < 0:
+            raise ParameterError("row ids must be non-negative")
+        if len(ids) and ids[-1] >= 10 ** _MAX_ID_DIGITS:
+            raise ParameterError(f"row id {ids[-1]} has more than {_MAX_ID_DIGITS} digits")
+    return columns
 
 
 class DifferentialColumns(NamedTuple):
@@ -250,7 +272,7 @@ class Lines:
 
     def __init__(self, pieces, columns, tails, codes, word_size: int = 0):
         self.columns = columns
-        self.codes = codes = np.asarray(codes)
+        self.codes = codes
         self.size = 0
         if len(codes) == 0:
             return
@@ -351,12 +373,9 @@ def join_lines(parts) -> bytes:
 def differential_lines(pieces, tail: str, ids, a, b, c, hw, word_size: int) -> Lines:
     """One line per row: the pieces, Dec(0) the id and Hex(1..3) the words
     a, b, c, then `tail` formatted with the row's dp and hw."""
-    hw = np.asarray(hw, dtype=np.uint8)
     tails = [tail.format(dp=dyadic_str(w), hw=w).encode("ascii")
              for w in range(int(hw.max(initial=0)) + 1)]
-    columns = [ids if isinstance(ids, range) else np.asarray(ids, dtype=np.int64),
-               *(np.asarray(x, dtype=np.uint64) for x in (a, b, c))]
-    return Lines(pieces, columns, tails, hw, word_size)
+    return Lines(pieces, [ids, a, b, c], tails, hw, word_size)
 
 
 # the text after c depends on hw alone, so it is the tail
@@ -513,9 +532,7 @@ def decode_differential_csv(data: bytes) -> DifferentialColumns:
         lines.check(bad | (hw > _MAX_HW), 5, f"a decimal weight from 0 to {_MAX_HW}")
         return parts + [hw]
 
-    columns = read_columns(data, b"id,", 6,
-                           (np.int64, np.uint64, np.uint64, np.uint64, np.uint8), parse)
-    return DifferentialColumns(*columns, word_size)
+    return DifferentialColumns(*read_columns(data, b"id,", 6, COLUMN_DTYPES, parse), word_size)
 
 
 def _right_aligned(buf, start, end, width: int) -> np.ndarray:

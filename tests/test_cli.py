@@ -191,6 +191,15 @@ class TestPipeline:
         assert captured.err == "error: limit -1 < 1\n"
         assert captured.out == ""
 
+    def test_paths_without_a_path_say_so(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         "0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n")
+        edges.write_text("src_id,dst_id,label\n0,1,OUTPUT_WEIGHT\n")
+        assert run(tmp_path, "graph", "paths", "--nodes", nodes, "--edges", edges,
+                   "--src", 1, "--dst", 0, "--max-hops", 3) == 0
+        assert capsys.readouterr().out == "no path\n"
+
     def test_graph_past_the_edge_limit_is_runtime_error(self, tmp_path, capsys):
         table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
         table.write_bytes(over_edge_limit_sample().to_csv())
@@ -245,6 +254,23 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.err == (f"error: cannot parse value {value} "
                                 f"in predicate '{predicate}'\n")
+        assert captured.out == ""
+        assert not nodes.exists() and not edges.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--source-predicate", "output=0"),
+         "both --source-predicate and --target-predicate are required"),
+        (("--source-predicate", "output0", "--target-predicate", "hw=0"),
+         "cannot parse predicate 'output0'; expected FIELD<=|>=|=VALUE"),
+    ], ids=["one predicate", "no operator"])
+    def test_malformed_rule_is_runtime_error(self, tmp_path, capsys, flags, message):
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        capsys.readouterr()
+        assert run(tmp_path, "graph", "build", "--input", table, *flags,
+                   "--nodes-out", nodes, "--edges-out", edges) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not nodes.exists() and not edges.exists()
 

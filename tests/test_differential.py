@@ -35,6 +35,14 @@ class TestEqMask:
         assert eq_mask(p, q, r, 8) == expected
 
 
+    @pytest.mark.parametrize("words, fault", [((16, 0, 0), "p 0x10"), ((0, -1, 0), "q -0x1"),
+                                              ((0, 0, 16), "r 0x10")],
+                             ids=["p too wide", "negative q", "r too wide"])
+    def test_word_outside_n_bits_rejected(self, words, fault):
+        with pytest.raises(ParameterError, match=f"^{fault} does not fit in 4 bits$"):
+            eq_mask(*words, 4)
+
+
 class TestValidity:
     def test_zero_differential(self):
         assert is_valid_differential(0, 0, 0, 4)
@@ -80,6 +88,13 @@ class TestOracle:
     def test_cost_guard(self):
         with pytest.raises(ParameterError):
             brute_force_dp(0, 0, 0, 11)
+
+    @pytest.mark.parametrize("words, fault", [((16, 0, 0), "a 0x10"), ((0, -1, 0), "b -0x1"),
+                                              ((0, 0, 16), "c 0x10")],
+                             ids=["a too wide", "negative b", "c too wide"])
+    def test_word_outside_n_bits_rejected(self, words, fault):
+        with pytest.raises(ParameterError, match=f"^{fault} does not fit in 4 bits$"):
+            brute_force_dp(*words, 4)
 
     def test_exhaustive_equivalence_n4(self):
         for a, b, c in itertools.product(range(16), repeat=3):

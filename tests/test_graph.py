@@ -511,11 +511,21 @@ class TestEdgeOrder:
         ([0], [1], [1], "edge label codes must index the 1 labels"),
         ([0], [1], [-1], "edge label codes must index the 1 labels"),
         ([0.0], [1.0], [0], "edge columns must be integer arrays"),
-    ], ids=["short dst", "code past the labels", "negative code", "float ends"])
+        ([2**63], [1], [0], "edge columns must hold integers in "
+                            "-9223372036854775808..9223372036854775807"),
+        ([[0]], [1], [0], "edge columns must be one-dimensional"),
+    ], ids=["short dst", "code past the labels", "negative code", "float ends", "end past int64",
+            "2-D src"])
     def test_malformed_edges_rejected(self, src, dst, codes, message):
         edges = Edges(np.array(src), np.array(dst), np.array(codes, dtype=np.intp), ("E",))
         with pytest.raises(ParameterError, match=f"^{message}$"):
             DiffGraph(self.COLUMNS, edges)
+
+    def test_list_columns_are_typed_like_arrays(self):
+        g = DiffGraph(self.COLUMNS, Edges([0], [1], [0], ("E",)))
+        assert g == DiffGraph(self.COLUMNS, [(0, 1, "E")])
+        assert [x.dtype for x in (g.edges.src, g.edges.dst, g.edges.codes)] == [
+            np.int64, np.int64, np.intp]
 
     def test_rule_graph_keeps_its_codes_view(self, hub_graph):
         # one label in order: no code array is made for the product
@@ -564,6 +574,25 @@ class TestAdjacency:
         columns = node_columns([(0, 0, 0, 0, 1), (1, 1, 1, 0, 1)], 4)._replace(ids=np.arange(3))
         with pytest.raises(ParameterError, match=r"^columns of lengths \[3, 2, 2, 2, 2\] differ$"):
             DiffGraph(columns, [(0, 2, "E")])
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("hw", [300, 1], "columns must hold integers in 0..255"),
+        ("hw", [-1, 1], "columns must hold integers in 0..255"),
+        ("a", [-1, 1], "columns must hold integers in 0..18446744073709551615"),
+        ("ids", [0.0, 1.5], "columns must be integer arrays"),
+    ], ids=["hw 300", "hw -1", "a -1", "float ids"])
+    def test_value_its_dtype_cannot_hold_rejected(self, field, values, message):
+        # a cast would write hw 300 as 44 (and search would index DP_OF_HW
+        # past its end), a of -1 as 0xf and the ids 0.0, 1.5 as 0 and 1
+        columns = node_columns([(0, 1, 1, 0, 1), (1, 3, 3, 0, 2)], 4)
+        columns = columns._replace(**{field: np.array(values)})
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            DiffGraph(columns, [(0, 1, "E")])
+
+    def test_node_columns_of_their_dtype_are_kept(self):
+        columns = node_columns([(0, 1, 1, 0, 1), (1, 3, 3, 0, 2)], 4)
+        g = DiffGraph(columns, [])
+        assert all(x is y for x, y in zip(g.columns, columns))
 
     @pytest.mark.parametrize("word_size", [0, 65, 70])
     def test_word_size_outside_1_to_64_rejected(self, word_size):
@@ -779,6 +808,11 @@ class TestPaths:
     def test_limit_below_one_rejected(self, limit):
         with pytest.raises(ParameterError, match="limit"):
             find_optimal_paths(make_diamond(), 0, 3, 3, limit)
+
+    @pytest.mark.parametrize("max_hops", [0, -1])
+    def test_max_hops_below_one_rejected(self, max_hops):
+        with pytest.raises(ParameterError, match=f"^max_hops {max_hops} < 1$"):
+            find_optimal_paths(make_diamond(), 0, 3, max_hops, 10)
 
     def test_expansions_counted(self):
         # dist to 3: nodes 1 and 2 are one hop away, 0 two; the 2-hop layer

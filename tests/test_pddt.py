@@ -268,6 +268,14 @@ class TestPartialDp:
         with pytest.raises(ParameterError):
             partial_dp(4, 0, 0, 2)
 
+    def test_negative_prefix_length_rejected(self):
+        with pytest.raises(ParameterError, match="^negative prefix length -1$"):
+            partial_dp(0, 0, 0, -1)
+
+    def test_impossible_prefix_has_probability_zero(self):
+        # bit 0 of c must be a0 ^ b0, so (1, 0 -> 0) holds for no pair
+        assert partial_dp(1, 0, 0, 1) == 0.0 == brute_force_dp(1, 0, 0, 1)
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -307,6 +315,12 @@ class TestSample:
         empty = Pddt(PddtConfig(4, 0.5), [], [], [], [])
         with pytest.raises(ParameterError):
             sample_pddt(empty, SampleSpec())
+
+    @pytest.mark.parametrize("fraction", [0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_0_1_rejected(self, fraction):
+        with pytest.raises(ParameterError,
+                           match=f"^{re.escape(f'sample fraction {fraction} outside (0, 1]')}$"):
+            SampleSpec(fraction)
 
 
 def reference_sample(pddt, spec):
@@ -442,6 +456,27 @@ class TestColumnsChecked:
         lengths = [1 if k == short else 2 for k in range(4)]
         with pytest.raises(ParameterError, match=re.escape(f"columns of lengths {lengths} differ")):
             Pddt(PddtConfig(4, 0.5), *cols)
+
+    @pytest.mark.parametrize("a, hw, message", [
+        ([1], [300], "columns must hold integers in 0..255"),
+        ([1], [-1], "columns must hold integers in 0..255"),
+        ([1.7], [1], "columns must be integer arrays"),
+        ([[1]], [1], "columns must be one-dimensional"),
+    ], ids=["hw 300", "hw -1", "float a", "2-D a"])
+    def test_value_its_dtype_cannot_hold_rejected(self, a, hw, message):
+        # a cast to uint8 or uint64 would store hw 300 as 44, -1 as 255 and 1.7 as 1
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            Pddt(PddtConfig(4, 0.5), np.array(a), np.array([1]), np.array([0]), np.array(hw))
+
+    def test_columns_of_their_dtype_are_kept_and_lists_typed(self):
+        a, b, c = (np.array([1, 2], dtype=np.uint64) for _ in range(3))
+        hw = np.array([1, 1], dtype=np.uint8)
+        t = Pddt(PddtConfig(4, 0.5), a, b, c, hw)
+        assert t.a is a and t.b is b and t.c is c and t.hw is hw
+        listed = Pddt(PddtConfig(64, 0.5), [2**64 - 1, 2**63], [0, 1], [0, 0], [1, 1])
+        assert [x.dtype for x in (listed.a, listed.b, listed.c, listed.hw)] == [
+            np.uint64, np.uint64, np.uint64, np.uint8]
+        assert listed.a.tolist() == [2**64 - 1, 2**63]
 
 
 class TestSerialization:

@@ -31,6 +31,11 @@ class TestCipherParams:
         with pytest.raises(ParameterError):
             CipherParams(n, m)
 
+    @pytest.mark.parametrize("params", all_variants(),
+                             ids=lambda p: f"simon{p.block_size}_{p.key_size}")
+    def test_mask_is_the_word(self, params):
+        assert params.mask == 2**params.word_size - 1
+
     def test_all_variants_count(self):
         assert len(all_variants()) == 10
 
