@@ -584,11 +584,18 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
 
 def _read_edges(data: bytes) -> Edges:
     """The edges of an edges CSV, in file order."""
-    names: Dict[bytes, int] = {}  # label -> its code
-    src, dst, codes = read_columns(
-        data, b"src_id,", 3, EDGE_DTYPES,
-        lambda lines: [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
-                       lines.labels(2, _LABEL, names)])
+    names: Dict[bytes, int] = {}  # label -> its code; a run's new labels follow the earlier runs'
+
+    def parse(lines):
+        found: Dict[bytes, int] = {}  # the run's labels and codes
+        return [lines.ids(0, "a decimal id"), lines.ids(1, "a decimal id"),
+                lines.labels(2, _LABEL, found)], found
+
+    def merge(parts, found):
+        codes = np.array([names.setdefault(label, len(names)) for label in found], dtype=np.intp)
+        return parts[:2] + [codes[parts[2]]]
+
+    src, dst, codes = read_columns(data, b"src_id,", 3, EDGE_DTYPES, parse, merge)
     return Edges(src, dst, codes, tuple(name.decode("ascii") for name in names))
 
 

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import io
 import logging
+import os
 import random
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional
@@ -158,7 +161,12 @@ class Pddt:
 
 _WRITE_CHUNK_ROWS = 1 << 16
 _WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
-_READ_CHUNK_BYTES = 1 << 19
+_READ_CHUNK_BYTES = 1 << 20  # of input
+# Output or input of fewer bytes is written or read on the calling thread.
+# On 2 vCPUs a pool gained nothing below it: a 32 MB table took 0.165 s to
+# write and 0.41 s to read alone, 0.176 s and 0.43 s on two threads, and
+# the threads' malloc arenas kept about 6 MB more resident.
+_POOL_BYTES = 1 << 25
 
 _MAX_HEX_DIGITS = 16   # a uint64 column
 _MAX_ID_DIGITS = 18    # fits int64
@@ -176,13 +184,18 @@ def _digit_table(alphabet: str, base: int) -> np.ndarray:
     return table
 
 
+def _digit_quads(base: int) -> np.ndarray:
+    """v -> the four digits of v in `base`, lowercase and zero-padded, as
+    the bytes of one uint32, for v in 0..base^4 - 1."""
+    v = np.arange(base ** 4)
+    digits = v[:, None] // base ** np.arange(3, -1, -1) % base
+    return np.frombuffer(b"0123456789abcdef", np.uint8)[digits].view(np.uint32).ravel()
+
+
 _DEC_VALUE = _digit_table("0123456789", 10)
 _HEX_VALUE = _digit_table("0123456789abcdefABCDEF", 16).astype(np.uint16)
-# byte -> its two lowercase hex digits, as the bytes of one uint16
-_HEX_PAIRS = np.frombuffer("".join(f"{v:02x}" for v in range(256)).encode("ascii"),
-                           dtype=np.uint16)
-_DEC_PAIRS = np.frombuffer("".join(f"{v:02d}" for v in range(100)).encode("ascii"),
-                           dtype=np.uint16)
+_DEC_QUADS = _digit_quads(10)
+_HEX_QUADS = _digit_quads(16)  # indexed by a 16-bit group of a word
 _POWERS_OF_TEN = 10 ** np.arange(1, _MAX_ID_DIGITS + 1, dtype=np.int64)
 # two hex digits read as a little-endian uint16 -> their byte value, or
 # 0x100 when either is not a hex digit
@@ -191,7 +204,6 @@ _HEX_PAIR_VALUE = np.where(
     0x100, _HEX_VALUE[None, :] * 16 + _HEX_VALUE[:, None]).ravel()
 
 _NEWLINE, _CR, _COMMA, _ZERO = ord("\n"), ord("\r"), ord(","), ord("0")
-_PAD = np.zeros(_MAX_ID_DIGITS, dtype=np.uint8)
 
 
 def typed(x, dtype, noun: str = "columns") -> np.ndarray:
@@ -199,7 +211,11 @@ def typed(x, dtype, noun: str = "columns") -> np.ndarray:
     ParameterError unless x holds integers that the dtype keeps."""
     info = np.iinfo(dtype)
     if not isinstance(x, np.ndarray):  # numpy reads the ints [0, 2**63] as floats
-        ints = np.ndim(x) == 1 and all(isinstance(v, int) and info.min <= v <= info.max for v in x)
+        try:
+            ndim = np.ndim(x)
+        except ValueError:  # lists of unequal lengths
+            raise ParameterError(f"{noun} must be one-dimensional") from None
+        ints = ndim == 1 and all(isinstance(v, int) and info.min <= v <= info.max for v in x)
         x = np.asarray(x, dtype if ints else None)
     if x.ndim != 1:
         raise ParameterError(f"{noun} must be one-dimensional")
@@ -246,7 +262,7 @@ class DifferentialColumns(NamedTuple):
 
 class Dec(NamedTuple):
     """A line slot: a column of ids from 0 to 10^18 - 1, in decimal. The
-    column is an integer array, or range(n) for row numbers, which is made
+    column is an integer array, or a range of row numbers, which is made
     into an array one chunk of rows at a time."""
 
     column: int
@@ -277,13 +293,15 @@ class Lines:
         if len(codes) == 0:
             return
         widths = {}  # column -> bytes of its slots
+        self.id_dtypes = {}  # Dec column -> the dtype its ids are divided in
         for piece in pieces:
             if isinstance(piece, Hex):
                 widths[piece.column] = -(-word_size // 4)
             elif isinstance(piece, Dec) and piece.column not in widths:
-                x = columns[piece.column]  # an id column, or range(n)
-                top = len(x) - 1 if isinstance(x, range) else int(x.max())
-                widths[piece.column] = 2 * -(-len(str(top)) // 2)  # written two digits at a time
+                x = columns[piece.column]
+                top = x[-1] if isinstance(x, range) else int(x.max())
+                widths[piece.column] = 4 * -(-len(str(top)) // 4)  # written four digits at a time
+                self.id_dtypes[piece.column] = np.uint32 if top >> 32 == 0 else np.int64
         self.slots, start = [], 0  # (piece, first byte, width) per piece
         for piece in pieces:
             width = len(piece) if isinstance(piece, bytes) else widths[piece.column]
@@ -294,54 +312,132 @@ class Lines:
                 digits = len(x) + sum(_count_at_least(x, 10**k) for k in range(1, width))
                 self.size += digits - len(x) * width
         self.tail_start = start
-        self.tail_bytes = np.zeros((len(tails), max(map(len, tails))), dtype=np.uint8)
+        tail_width = max(map(len, tails))
+        self.line_width = start + tail_width
+        # each tail, and the mask of its bytes, as one void item: a row's is
+        # copied in one step
+        tail_bytes = np.zeros((len(tails), tail_width), dtype=np.uint8)
         for k, tail in enumerate(tails):
-            self.tail_bytes[k, :len(tail)] = np.frombuffer(tail, dtype=np.uint8)
-        self.tail_len = np.array([len(tail) for tail in tails])
-        tails_size = int(np.bincount(codes, minlength=len(tails)) @ self.tail_len)
+            tail_bytes[k, :len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        tail_len = np.array([len(tail) for tail in tails])
+        self.tail_items = _items(tail_bytes, 0, f"V{tail_width}")
+        self.tail_keep = _items(np.arange(tail_width) < tail_len[:, None], 0, f"V{tail_width}")
+        tails_size = int(np.bincount(codes, minlength=len(tails)) @ tail_len)
         self.size += len(codes) * start + tails_size
 
     def write(self, out) -> None:
+        """Write the lines to the binary file object `out`, in order. Chunks
+        of rows are laid out on the threads that `_workers` gives for the
+        output's size, each chunk within a thread's share of
+        _WRITE_CHUNK_BYTES; the bytes do not depend on the thread count."""
         if self.size == 0:
             return
-        codes, columns, tail_start = self.codes, self.columns, self.tail_start
-        tail_width = self.tail_bytes.shape[1]
-        step = max(1, min(_WRITE_CHUNK_ROWS, _WRITE_CHUNK_BYTES // (tail_start + tail_width)))
-        line = np.empty((min(len(codes), step), tail_start + tail_width), dtype=np.uint8)
+        workers = _workers(self.size)
+        step = max(1, min(_WRITE_CHUNK_ROWS, _WRITE_CHUNK_BYTES // (workers * self.line_width)))
+        _map_in_order(lambda lo: self._chunk(lo, lo + step), range(0, len(self.codes), step),
+                      out.write, workers)
+
+    def _chunk(self, lo: int, hi: int) -> np.ndarray:
+        """The bytes of the lines of rows lo..hi - 1."""
+        code = self.codes[lo:hi]
+        line = np.empty((len(code), self.line_width), dtype=np.uint8)
         keep = np.ones(line.shape, dtype=bool)
         for piece, start, width in self.slots:
             if isinstance(piece, bytes):
-                line[:, start:start + width] = np.frombuffer(piece, dtype=np.uint8)
-        for lo in range(0, len(codes), step):
-            rows = min(len(codes) - lo, step)
-            for piece, start, width in self.slots:
-                if isinstance(piece, bytes):
-                    continue
-                x = columns[piece.column][lo:lo + rows]
-                if isinstance(x, range):
-                    x = np.arange(x.start, x.stop)
-                field = line[:rows, start:start + width]
-                if isinstance(piece, Dec):
-                    for k in range(0, width, 2):
-                        pair = _DEC_PAIRS[(x // 10**k) % 100].view(np.uint8).reshape(-1, 2)
-                        field[:, width - 2 - k:width - k] = pair
-                    digits = np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1
-                    keep[:rows, start:start + width] = np.arange(width) >= width - digits[:, None]
-                else:
-                    big_endian = x.astype(">u8").view(np.uint8).reshape(-1, 8)
-                    chars = _HEX_PAIRS[big_endian[:, 8 - -(-width // 2):]].view(np.uint8)
-                    field[:] = chars[:, -width:]
-            code = codes[lo:lo + rows]
-            line[:rows, tail_start:] = self.tail_bytes[code]
-            keep[:rows, tail_start:] = np.arange(tail_width) < self.tail_len[code][:, None]
-            out.write(line[:rows][keep[:rows]])
+                _items(line, start, f"V{width}")[:] = np.void(piece)
+                continue
+            x = self.columns[piece.column][lo:hi]
+            if isinstance(piece, Hex):
+                _put_hex(line, start, width, x)
+                continue
+            dtype = self.id_dtypes[piece.column]
+            if isinstance(x, range):
+                x = np.arange(x.start, x.stop, x.step, dtype)
+            x = x.astype(dtype, copy=False)
+            for k in range(width - 1):  # a digit is kept from the id's first on
+                np.greater_equal(x, 10 ** (width - 1 - k), out=keep[:, start + k])
+            _put_decimal(_items(line, start, np.uint32, width // 4), x)
+        # the codes index the tails, so no index is clipped
+        np.take(self.tail_items, code, axis=0, mode="clip",
+                out=_items(line, self.tail_start, self.tail_items.dtype))
+        np.take(self.tail_keep, code, axis=0, mode="clip",
+                out=_items(keep, self.tail_start, self.tail_keep.dtype))
+        return line[keep]
+
+
+def _items(matrix: np.ndarray, start: int, dtype, count: int = 1) -> np.ndarray:
+    """A view of the C-ordered byte matrix's rows from byte `start` on as
+    `count` items of `dtype` each, unaligned where `start` is."""
+    dtype = np.dtype(dtype)
+    return np.ndarray((len(matrix), count), dtype, matrix, start, (matrix.shape[1], dtype.itemsize))
+
+
+def _put_decimal(words: np.ndarray, x: np.ndarray) -> None:
+    """Fill each row of `words`, uint32 items, with its id of x in decimal,
+    right-aligned and zero-padded, four digits to an item."""
+    for k in range(words.shape[1] - 1, 0, -1):
+        high = x // 10_000
+        np.take(_DEC_QUADS, x - high * 10_000, out=words[:, k], mode="clip")
+        x = high
+    np.take(_DEC_QUADS, x, out=words[:, 0], mode="clip")  # below 10_000: the slot holds the id
+
+
+def _put_hex(line: np.ndarray, start: int, width: int, x: np.ndarray) -> None:
+    """Fill bytes start..start + width - 1 of each row of the byte matrix
+    with the last `width` hex digits of its word of x, four digits to a
+    16-bit group."""
+    full, partial = divmod(width, 4)
+    groups = x.astype("<u8", copy=False).view("<u2").reshape(-1, 4)  # lowest first
+    words = _items(line, start + partial, np.uint32, full)
+    for k in range(full):
+        np.take(_HEX_QUADS, groups[:, k], out=words[:, full - 1 - k], mode="clip")
+    if partial:
+        top = _HEX_QUADS[groups[:, full]].view(np.uint8).reshape(-1, 4)
+        line[:, start:start + partial] = top[:, 4 - partial:]
 
 
 def _count_at_least(ids, value: int) -> int:
     """How many of a Dec column's ids are at least `value`."""
-    if isinstance(ids, range):  # range(n)
-        return len(ids[value:])
+    if isinstance(ids, range):
+        return len(ids) - len(range(ids.start, min(value, ids.stop), ids.step))
     return int(np.count_nonzero(ids >= value))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(size: int) -> int:
+    """The threads for a file of `size` bytes: one for every CPU the process
+    may use from _POOL_BYTES on, else the calling thread alone."""
+    return _cpus() if size >= _POOL_BYTES else 1
+
+
+def _map_in_order(work, tasks, take, workers: int) -> None:
+    """take(work(task)) for each task, in order. With more than one worker
+    and task, work runs on a pool of `workers` threads, at most `workers`
+    tasks ahead of take, which runs on the calling thread; every thread is
+    joined before this returns or raises."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        for task in tasks:
+            take(work(task))
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        try:
+            for task in tasks:
+                if len(pending) == workers:
+                    take(pending.popleft().result())
+                pending.append(pool.submit(work, task))
+            while pending:
+                take(pending.popleft().result())
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def write_lines(out, parts) -> None:
@@ -392,60 +488,78 @@ def differential_csv(header: str, ids, a, b, c, hw, word_size: int) -> list:
 class Fields:
     """The data lines of a run of whole lines, split at commas.
 
-    `starts[k]` and `ends[k]` bound field k of each line in `buf`, and
-    `line_no` gives each line's 1-based number in the file; `newlines`
-    counts the newlines of the run. The lines stop before the first line
-    that has another field count; `errors` then holds that line's fault,
-    and `check` adds the first line at which a field is bad, so that
-    `raise_first` reports the earliest line's fault.
+    `buf` is a view of the run's bytes. `bounds(k)` gives the first byte
+    and the end of field k of each line in `buf`, as int32 offsets where
+    they fit. The lines stop before the first line that has another field
+    count; `errors` then holds that line's fault, and `check` adds the
+    first line at which a field is bad, so that `first_error` names the
+    earliest line's fault.
     """
 
-    def __init__(self, chunk: np.ndarray, lines_before: int, header: bytes, n: int):
-        # padding on both sides lets every field look up to _MAX_ID_DIGITS
-        # bytes back and every line a header's length ahead without bounds checks
-        buf = np.concatenate((_PAD, chunk, _PAD))
-        newlines = np.flatnonzero(buf == _NEWLINE)
-        self.newlines = len(newlines)
-        starts = np.concatenate(([len(_PAD)], newlines + 1))
-        ends = np.concatenate((newlines, [len(buf) - len(_PAD)]))
-        if starts[-1] == ends[-1] == len(buf) - len(_PAD):  # nothing after the final newline
+    def __init__(self, data: bytes, begin: int, end: int, lines_before: int, header: bytes,
+                 n: int):
+        buf = np.frombuffer(data, np.uint8, end - begin, begin)
+        offset = np.int32 if len(buf) < 2**31 else np.int64
+        newlines = np.flatnonzero(buf == _NEWLINE).astype(offset)
+        starts = np.concatenate((np.zeros(1, dtype=offset), newlines + 1))
+        ends = np.append(newlines, offset(len(buf)))
+        if starts[-1] == len(buf):  # nothing after the final newline
             starts, ends = starts[:-1], ends[:-1]
-        ends = ends - ((ends > starts) & (buf[ends - 1] == _CR))
-        skip = (ends == starts) | (buf[starts] == ord("#"))
-        is_header = ends - starts >= len(header)
-        for k, byte in enumerate(header):
-            is_header &= buf[starts + k] == byte
-        rows = np.flatnonzero(~(skip | is_header))
-        line_no = lines_before + rows + 1
-        starts, ends = starts[rows], ends[rows]
+        ends -= (ends > starts) & (buf[ends - 1] == _CR)
+        first = buf[starts]
+        self.data_lines = (ends > starts) & (first != ord("#"))  # of the run's lines
+        maybe = np.flatnonzero(self.data_lines & (first == header[0])
+                               & (ends - starts >= len(header)))
+        if len(maybe):
+            text = np.lib.stride_tricks.sliding_window_view(buf, len(header))[starts[maybe]]
+            self.data_lines[maybe[(text == np.frombuffer(header, np.uint8)).all(axis=1)]] = False
+        if not self.data_lines.all():
+            starts, ends = starts[self.data_lines], ends[self.data_lines]
+        self.lines_before = lines_before
 
-        commas = np.flatnonzero(buf == _COMMA)
-        first_comma = np.searchsorted(commas, starts)
-        fields = np.searchsorted(commas, ends) - first_comma + 1
+        commas = np.flatnonzero(buf == _COMMA).astype(offset)
         self.errors = []
-        if (fields != n).any():
-            i = int(np.argmax(fields != n))
-            self.errors.append((i, f"line {line_no[i]}: expected {n} comma-separated fields, "
-                                   f"got {fields[i]}"))
-            starts, ends, first_comma = starts[:i], ends[:i], first_comma[:i]
-        comma = commas[first_comma + np.arange(n - 1)[:, None]]  # one row per field
-        self.buf = buf
-        self.line_no = line_no[:len(starts)]
-        self.starts = np.vstack((starts, comma + 1))
-        self.ends = np.vstack((comma, ends))
+        # each line's n - 1 commas, when the file has no others: the lines'
+        # commas are in order, so when each row of the grid starts and ends
+        # in its line, every line holds its row and no other comma
+        grid = commas.reshape(-1, n - 1) if len(commas) == len(starts) * (n - 1) else None
+        if grid is None or not ((grid[:, 0] >= starts).all() and (grid[:, -1] < ends).all()):
+            first_comma = np.searchsorted(commas, starts)
+            fields = np.searchsorted(commas, ends) - first_comma + 1
+            if (fields != n).any():
+                i = int(np.argmax(fields != n))
+                self.errors.append((i, f"line {self.line_no(i)}: expected {n} comma-separated "
+                                       f"fields, got {fields[i]}"))
+                starts, ends, first_comma = starts[:i], ends[:i], first_comma[:i]
+            grid = np.empty((len(starts), n - 1), dtype=offset)
+            for k in range(n - 1):
+                np.take(commas, first_comma + k, out=grid[:, k])
+        self.commas = grid
+        self.buf, self.starts, self.ends = buf, starts, ends
+
+    def line_no(self, i: int) -> int:
+        """The 1-based number in the file of data line i."""
+        return self.lines_before + int(np.flatnonzero(self.data_lines)[i]) + 1
+
+    def bounds(self, field: int):
+        """The first byte and the end in buf of the field (0-based) of
+        each line."""
+        start = self.starts if field == 0 else self.commas[:, field - 1] + 1
+        end = self.commas[:, field] if field < self.commas.shape[1] else self.ends
+        return start, end
 
     def check(self, bad: np.ndarray, field: int, expected: str) -> None:
         """Note the first row whose field (0-based) is bad."""
         if bad.any():
             i = int(np.argmax(bad))
-            text = self.buf[self.starts[field, i]:self.ends[field, i]].tobytes()
-            self.errors.append((i, f"line {self.line_no[i]}: field {field + 1} must be "
+            start, end = self.bounds(field)
+            text = self.buf[start[i]:end[i]].tobytes()
+            self.errors.append((i, f"line {self.line_no(i)}: field {field + 1} must be "
                                    f"{expected}, got {text.decode('utf-8', 'replace')!r}"))
 
     def ids(self, field: int, expected: str) -> np.ndarray:
         """The field as decimal ids of at most _MAX_ID_DIGITS digits."""
-        values, bad = _parse_decimal(self.buf, self.starts[field], self.ends[field],
-                                     _MAX_ID_DIGITS)
+        values, bad = _parse_decimal(self.buf, *self.bounds(field), _MAX_ID_DIGITS)
         self.check(bad, field, expected)
         return values
 
@@ -453,14 +567,16 @@ class Fields:
         """The field as labels that fully match the compiled `pattern`, each
         one's index in `names`, which takes in the labels it does not hold."""
         # labels of one length are rows of one byte matrix, read from their starts
-        start, length = self.starts[field], self.ends[field] - self.starts[field]
+        start, end = self.bounds(field)
+        length = end - start
         bad = length == 0
         codes = np.zeros(len(length), dtype=np.intp)
-        for size in np.unique(length[~bad]).tolist():
-            at = np.flatnonzero(length == size)
+        sizes = np.unique(length[~bad]).tolist()
+        for size in sizes:
+            at = np.flatnonzero(length == size) if len(sizes) > 1 or bad.any() else slice(None)
             text = np.lib.stride_tricks.sliding_window_view(self.buf, size)[start[at]]
             if (text == text[0]).all():  # a run of one label
-                distinct, inverse = [text[0].tobytes()], np.zeros(len(at), dtype=np.intp)
+                distinct, inverse = [text[0].tobytes()], 0
             else:
                 distinct, inverse = np.unique(text.view(f"S{size}")[:, 0], return_inverse=True)
                 distinct = distinct.tolist()
@@ -473,37 +589,54 @@ class Fields:
         self.check(bad, field, f"a label matching {pattern.pattern}")
         return codes
 
-    def raise_first(self) -> None:
-        if self.errors:
-            raise ValueError(min(self.errors)[1])
+    def first_error(self) -> Optional[str]:
+        return min(self.errors)[1] if self.errors else None
 
 
-def read_columns(data: bytes, header: bytes, n: int, dtypes, parse) -> list:
-    """Columns of the given dtypes, filled from the data lines of `data`,
-    about _READ_CHUNK_BYTES of whole lines at a time: parse(fields) gives a
-    run's parts, one per column, and notes its bad fields on `fields`; the
-    earliest line at fault raises ValueError. A line ends at '\\n' and one
-    '\\r' before it is dropped; nothing else is stripped. Blank lines and
-    lines starting with '#' or with `header` are skipped; every other line
-    should have n fields."""
-    # one row at most per line; each run is freed before the next is split
-    capacity = data.count(b"\n") + 1
-    columns = [np.empty(capacity, dtype=dtype) for dtype in dtypes]
-    rows = lines_before = pos = 0
-    while True:
-        end = data.find(b"\n", min(pos + _READ_CHUNK_BYTES, len(data)) - 1)
+def read_columns(data: bytes, header: bytes, n: int, dtypes, parse, merge) -> list:
+    """Columns of the given dtypes, filled from the data lines of `data`.
+
+    The data is cut into runs of whole lines, each about a thread's share
+    of _READ_CHUNK_BYTES, which are split and parsed on the threads that
+    `_workers` gives for the data's size, a run per thread at a time:
+    parse(fields) gives a run's parts, one per column, and what else it
+    found, and notes its bad fields on `fields`; it shares nothing with
+    other runs. Then, on the calling thread and in file order, a run with
+    a bad line raises ValueError for its earliest, and merge(parts, found)
+    gives the parts that are stored. A line ends
+    at '\\n' and one '\\r' before it is dropped; nothing else is stripped.
+    Blank lines and lines starting with '#' or with `header` are skipped;
+    every other line should have n fields.
+    """
+    workers = _workers(len(data))
+    runs, lines_before, pos = [], 0, 0  # (first byte, end, newlines before)
+    while pos < len(data):
+        end = data.find(b"\n", min(pos + max(1, _READ_CHUNK_BYTES // workers), len(data)) - 1)
         end = len(data) if end < 0 else end + 1
-        fields = Fields(np.frombuffer(data, np.uint8, end - pos, pos), lines_before, header, n)
-        parts = parse(fields)
-        fields.raise_first()
-        for column, part in zip(columns, parts):
+        runs.append((pos, end, lines_before))
+        lines_before += int(np.count_nonzero(np.frombuffer(data, np.uint8, end - pos, pos)
+                                             == _NEWLINE))
+        pos = end
+    # one row at most per line
+    columns = [np.empty(lines_before + 1, dtype=dtype) for dtype in dtypes]
+    rows = 0
+
+    def split(run):
+        fields = Fields(data, *run, header, n)
+        parts, found = parse(fields)
+        return parts, found, fields.first_error()
+
+    def store(parsed):
+        nonlocal rows
+        parts, found, error = parsed
+        if error is not None:
+            raise ValueError(error)
+        for column, part in zip(columns, merge(parts, found)):
             column[rows:rows + len(part)] = part
         rows += len(parts[0])
-        lines_before += fields.newlines
-        del fields, parts
-        pos = end
-        if pos >= len(data):
-            return [column[:rows] for column in columns]
+
+    _map_in_order(split, runs, store, workers)
+    return [column[:rows] for column in columns]
 
 
 def decode_differential_csv(data: bytes) -> DifferentialColumns:
@@ -517,28 +650,41 @@ def decode_differential_csv(data: bytes) -> DifferentialColumns:
     """
     word_size = 4
 
-    def parse(lines: Fields) -> list:
-        nonlocal word_size
-        buf, starts, ends = lines.buf, lines.starts, lines.ends
+    def parse(lines: Fields):
+        buf = lines.buf
         parts = [lines.ids(0, f"a decimal id of at most {_MAX_ID_DIGITS} digits")]
+        digits = 1  # of the widest hex field
         for field in (1, 2, 3):
-            start, end = starts[field], ends[field]
+            start, end = lines.bounds(field)
             value, bad = _parse_hex(buf, start + 2, end)
             bad |= (buf[start] != _ZERO) | (buf[start + 1] != ord("x"))
             lines.check(bad, field, f"0x and 1 to {_MAX_HEX_DIGITS} hex digits")
             parts.append(value)
-            word_size = max(word_size, 4 * (int((end - start).max(initial=2)) - 2))
-        hw, bad = _parse_decimal(buf, starts[5], ends[5], 3)
+            digits = max(digits, int((end - start).max(initial=2)) - 2)
+        hw, bad = _parse_decimal(buf, *lines.bounds(5), 3)
         lines.check(bad | (hw > _MAX_HW), 5, f"a decimal weight from 0 to {_MAX_HW}")
-        return parts + [hw]
+        return parts + [hw.astype(np.uint8)], digits  # a run with a bad weight is not stored
 
-    return DifferentialColumns(*read_columns(data, b"id,", 6, COLUMN_DTYPES, parse), word_size)
+    def merge(parts, digits: int):
+        nonlocal word_size
+        word_size = max(word_size, 4 * digits)
+        return parts
+
+    columns = read_columns(data, b"id,", 6, COLUMN_DTYPES, parse, merge)
+    return DifferentialColumns(*columns, word_size)
 
 
 def _right_aligned(buf, start, end, width: int) -> np.ndarray:
     """The `width` bytes before each field end, with '0' in place of the
     bytes before the field start."""
-    window = np.lib.stride_tricks.sliding_window_view(buf, width)[end - width]
+    windows = np.lib.stride_tricks.sliding_window_view(buf, width)
+    if len(end) and end[0] < width:  # fields end in line order, so only the first lines may
+        early = np.flatnonzero(end < width)
+        window = windows[np.maximum(end - width, 0)]
+        head = np.concatenate((np.zeros(width, dtype=np.uint8), buf[:width]))
+        window[early] = np.lib.stride_tricks.sliding_window_view(head, width)[end[early]]
+    else:
+        window = windows[end - width]
     length = end - start
     if (length == width).all():  # every field fills its window
         return window
@@ -549,7 +695,8 @@ def _right_aligned(buf, start, end, width: int) -> np.ndarray:
 def _rows_with(mask: np.ndarray) -> np.ndarray:
     """Rows of a 2-D mask with any True entry."""
     rows = np.zeros(len(mask), dtype=bool)
-    rows[np.flatnonzero(mask) // mask.shape[1]] = True
+    if mask.any():
+        rows[np.flatnonzero(mask) // mask.shape[1]] = True
     return rows
 
 
@@ -562,7 +709,8 @@ def _parse_decimal(buf, start, end, max_digits: int):
     bad = (length < 1) | (length > max_digits) | _rows_with(digits == _BAD_DIGIT)
     value = np.zeros(len(start), dtype=np.uint64)
     for k in range(width):
-        value = value * np.uint64(10) + digits[:, k]
+        value *= np.uint64(10)
+        value += digits[:, k]
     return value, bad
 
 
@@ -575,7 +723,8 @@ def _parse_hex(buf, start, end):
         width *= 2
     pairs = _HEX_PAIR_VALUE[_right_aligned(buf, start, end, width).view("<u2")]
     bad = (length < 1) | (length > _MAX_HEX_DIGITS) | _rows_with(pairs > 0xFF)
-    return pairs.astype(np.uint8).view(f">u{width // 2}")[:, 0].astype(np.uint64), bad
+    value = pairs.astype(np.uint8).view(f">u{width // 2}")[:, 0]
+    return value.astype(f"u{width // 2}"), bad  # native order, no wider than the digits
 
 
 def ascending(*keys) -> bool:
@@ -661,8 +810,19 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     for bit in range(config.word_size):
         level = _expand_level(level, bit, config.max_weight, config.max_elements)
     del level[4]  # the carry states
-    _gather(level, _table_order(*level[:3], config.word_size))
+    _gather(level, _built_order(level[0], level[1], config.word_size))
     return Pddt(config, *level)
+
+
+def _built_order(a, b, word_size: int) -> np.ndarray:
+    """The stable permutation that sorts the builder's last level by (a, b),
+    which sorts it by (a, b, c): each level is laid out by its new bit's
+    (a, b, c) triple and then in its parents' order, so the rows come in
+    bit-interleaved order from the top bit, ascending in c among equal
+    (a, b). One key, a << word_size | b, when a and b fit in one uint64."""
+    if 2 * word_size <= 64:
+        return np.argsort(a << np.uint64(word_size) | b, kind="stable")
+    return np.lexsort((b, a))
 
 
 def _table_order(a, b, c, word_size: int) -> np.ndarray:

@@ -82,9 +82,10 @@ class TestBuild:
     def test_build_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise RuntimeError("thread started")
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        csvs = {build_pddt(PddtConfig(8, 0.1), workers=w).to_csv() for w in (None, 1, 4)}
-        assert len(csvs) == 1
+        with monkeypatch.context() as patched:
+            patched.setattr(threading.Thread, "start", no_thread)
+            tables = [build_pddt(PddtConfig(8, 0.1), workers=w) for w in (None, 1, 4)]
+        assert len({table.to_csv() for table in tables}) == 1  # the writer may start threads
 
     def test_resolve_workers_defaults_to_one(self):
         assert pddt_module.resolve_workers(None) == pddt_module.resolve_workers(0) == 1
@@ -141,6 +142,22 @@ class TestBuild:
         rows = list(zip(t.a.tolist(), t.b.tolist(), t.c.tolist()))
         assert all(p < q for p, q in zip(rows, rows[1:]))
         assert pddt_stats(t).weight_histogram == automaton_histogram(n, 2)
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 40])
+    def test_builder_order_is_the_table_order(self, monkeypatch, n):
+        """The builder sorts its last level on (a, b) alone; the order it
+        finds is the (a, b, c) order, also past the one-key width of 32 bits."""
+        levels = []
+        gather = pddt_module._gather
+
+        def recording(cols, order):
+            levels.append(([col.copy() for col in cols[:3]], order))
+            gather(cols, order)
+
+        monkeypatch.setattr(pddt_module, "_gather", recording)
+        build_pddt(PddtConfig(n, 0.25))
+        [((a, b, c), order)] = levels
+        assert np.array_equal(order, np.lexsort((c, b, a)))
 
 
 def automaton_histogram(n, max_weight):
@@ -468,6 +485,10 @@ class TestColumnsChecked:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             Pddt(PddtConfig(4, 0.5), np.array(a), np.array([1]), np.array([0]), np.array(hw))
 
+    def test_ragged_list_rejected(self):
+        with pytest.raises(ParameterError, match="^columns must be one-dimensional$"):
+            Pddt(PddtConfig(4, 0.5), [[1], [1, 2]], [1, 1], [0, 0], [1, 1])
+
     def test_columns_of_their_dtype_are_kept_and_lists_typed(self):
         a, b, c = (np.array([1, 2], dtype=np.uint64) for _ in range(3))
         hw = np.array([1, 1], dtype=np.uint8)
@@ -583,6 +604,15 @@ class TestCodec:
             Pddt.from_csv(data)
         back = Pddt.from_csv(data[:data.rindex(b"\r\n")])  # no final newline
         assert back.to_csv() == expected[:expected.rindex(b"\n", 0, -1) + 1]
+
+    def test_row_numbers_from_past_zero(self):
+        # ids 5..204: the slot's width and the digit counts come from the range's ends
+        ids = range(5, 205)
+        zeros = np.zeros(len(ids), dtype=np.uint64)
+        parts = pddt_module.differential_csv("id", ids, zeros, zeros, zeros,
+                                             zeros.astype(np.uint8), 4)
+        data = pddt_module.join_lines(parts)
+        assert data.decode().splitlines()[1:] == [f"{i},0x0,0x0,0x0,1,0" for i in ids]
 
     def test_values_checked_against_word_size_not_hex_width(self):
         assert b",0x1f,0x00,0x1f," in Pddt(PddtConfig(5, 0.5), [0x1f], [0], [0x1f], [0]).to_csv()
