@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
                    ascending, check_columns, decode_differential_csv, differential_csv,
-                   differential_lines, join_lines, read_columns, typed)
+                   differential_lines, join_lines, read_columns, stable_order, typed)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -163,7 +163,7 @@ def _sorted_edges(edges: Edges) -> Edges:
     if list(labels) != in_use:
         codes = np.array([bisect_left(in_use, label) for label in labels], dtype=np.intp)[codes]
     if not ascending(src, dst, codes):
-        order = np.lexsort((codes, dst, src))
+        order = stable_order(src, dst, codes)
         src, dst, codes = src[order], dst[order], codes[order]
     return Edges(src, dst, codes, tuple(in_use))
 

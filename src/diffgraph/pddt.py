@@ -98,15 +98,19 @@ def node_columns(rows, word_size: int) -> DifferentialColumns:
 
 
 class Pddt:
-    """Ordered, deduplicated table of differentials above a threshold.
+    """Ordered table of differentials above a threshold.
 
-    Entries are kept column-wise (a, b, c as uint64, hw as uint8) and
-    sorted by (a, b, c); the table is immutable after construction.
+    Entries are kept column-wise (a, b, c as uint64, hw as uint8), and
+    the constructor sorts them by (a, b, c), repeated triples kept in
+    their given order; the table is immutable after construction.
     """
 
     def __init__(self, config: PddtConfig, a, b, c, hw):
         self.config = config
-        self.a, self.b, self.c, self.hw = check_columns((a, b, c, hw), config.word_size)
+        cols = check_columns((a, b, c, hw), config.word_size)
+        if not ascending(*cols[:3]):
+            _gather(cols, stable_order(*cols[:3]))
+        self.a, self.b, self.c, self.hw = cols
 
     def __len__(self) -> int:
         return len(self.a)
@@ -133,18 +137,13 @@ class Pddt:
         """Parse the canonical CSV (see `decode_differential_csv`).
 
         The word size is recovered from the hex field width and the
-        threshold is the smallest dp present.  Rows are returned in
-        (a, b, c) order.
+        threshold is the smallest dp present.  The constructor puts the
+        rows in (a, b, c) order.
         """
-        decoded = decode_differential_csv(data)
-        cols = [decoded.a, decoded.b, decoded.c, decoded.hw]
-        word_size = decoded.word_size
-        del decoded  # drops the ids column
-        if not ascending(*cols[:3]):
-            _gather(cols, _table_order(*cols[:3], word_size))
-        hw = cols[3]
+        ids, a, b, c, hw, word_size = decode_differential_csv(data)
+        del ids  # freed before the constructor sorts
         p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
-        return cls(PddtConfig(word_size, p_threshold), *cols)
+        return cls(PddtConfig(word_size, p_threshold), a, b, c, hw)
 
 
 # --- line codec --------------------------------------------------------
@@ -155,11 +154,10 @@ class Pddt:
 # to ceil(n/4) nibbles, dp the exact decimal of 2^-hw, hw in decimal. The
 # graph module writes its edges file and exports, and reads its edges
 # file, with the same two pieces. Both work on whole columns with numpy,
-# a bounded number of rows or bytes at a time, and hold the data once:
+# a bounded number of bytes at a time, and hold the data once:
 # the writer fills one buffer of the output's exact size, and every
 # reader fills its columns through read_columns.
 
-_WRITE_CHUNK_ROWS = 1 << 16
 _WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
 _READ_CHUNK_BYTES = 1 << 20  # of input
 # Output or input of fewer bytes is written or read on the calling thread.
@@ -196,7 +194,6 @@ _DEC_VALUE = _digit_table("0123456789", 10)
 _HEX_VALUE = _digit_table("0123456789abcdefABCDEF", 16).astype(np.uint16)
 _DEC_QUADS = _digit_quads(10)
 _HEX_QUADS = _digit_quads(16)  # indexed by a 16-bit group of a word
-_POWERS_OF_TEN = 10 ** np.arange(1, _MAX_ID_DIGITS + 1, dtype=np.int64)
 # two hex digits read as a little-endian uint16 -> their byte value, or
 # 0x100 when either is not a hex digit
 _HEX_PAIR_VALUE = np.where(
@@ -333,7 +330,7 @@ class Lines:
         if self.size == 0:
             return
         workers = _workers(self.size)
-        step = max(1, min(_WRITE_CHUNK_ROWS, _WRITE_CHUNK_BYTES // (workers * self.line_width)))
+        step = max(1, _WRITE_CHUNK_BYTES // (workers * self.line_width))
         _map_in_order(lambda lo: self._chunk(lo, lo + step), range(0, len(self.codes), step),
                       out.write, workers)
 
@@ -810,28 +807,12 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     for bit in range(config.word_size):
         level = _expand_level(level, bit, config.max_weight, config.max_elements)
     del level[4]  # the carry states
-    _gather(level, _built_order(level[0], level[1], config.word_size))
+    # sorting by (a, b) alone sorts by (a, b, c): each level is laid out by
+    # its new bit's (a, b, c) triple and then in its parents' order, so the
+    # rows come in bit-interleaved order from the top bit, ascending in c
+    # among equal (a, b)
+    _gather(level, stable_order(level[0], level[1]))
     return Pddt(config, *level)
-
-
-def _built_order(a, b, word_size: int) -> np.ndarray:
-    """The stable permutation that sorts the builder's last level by (a, b),
-    which sorts it by (a, b, c): each level is laid out by its new bit's
-    (a, b, c) triple and then in its parents' order, so the rows come in
-    bit-interleaved order from the top bit, ascending in c among equal
-    (a, b). One key, a << word_size | b, when a and b fit in one uint64."""
-    if 2 * word_size <= 64:
-        return np.argsort(a << np.uint64(word_size) | b, kind="stable")
-    return np.lexsort((b, a))
-
-
-def _table_order(a, b, c, word_size: int) -> np.ndarray:
-    """The stable permutation that sorts rows of word_size-bit words by
-    (a, b, c): on the two keys (a << word_size | b, c) when a and b fit
-    in one uint64 together, else on three."""
-    if 2 * word_size <= 64:
-        return np.lexsort((c, a << np.uint64(word_size) | b))
-    return np.lexsort((c, b, a))
 
 
 def _gather(cols: list, order: np.ndarray) -> None:
@@ -852,7 +833,7 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
         return pddt
     rng = random.Random(f"pddt-sample:{spec.seed}")
     # output classes in ascending c, each class's rows in table order
-    order = _stable_order(pddt.c)
+    order = stable_order(pddt.c)
     by_output = pddt.c[order]
     starts = np.flatnonzero(np.r_[True, by_output[1:] != by_output[:-1]])
     sizes = np.diff(np.r_[starts, len(order)])
@@ -876,27 +857,40 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
     return Pddt(pddt.config, pddt.a[idx], pddt.b[idx], pddt.c[idx], pddt.hw[idx])
 
 
-# rows of sort key filled at a time, so that no row-number column is made
+# rows of packed words filled at a time, so that no other column is made
 _KEY_BLOCK = 1 << 16
 
 
-def _stable_order(c: np.ndarray) -> np.ndarray:
-    """The stable order of a non-empty column, `np.argsort(c,
-    kind="stable")`. With r the bit length of the last row number, when
-    the keys c << r | row fit in 64 bits, it is one in-place sort of
-    them: the keys are distinct, so their order is the stable one, and
-    masking out c leaves the row numbers. Otherwise the argsort runs."""
-    r = (len(c) - 1).bit_length()
-    if int(c.max()).bit_length() + r > 64:
-        return np.argsort(c, kind="stable")
-    keys = np.empty(len(c), dtype=np.uint64)
-    for start in range(0, len(c), _KEY_BLOCK):
-        block = keys[start:start + _KEY_BLOCK]
-        np.left_shift(c[start:start + _KEY_BLOCK], np.uint64(r), out=block)
-        block |= np.arange(start, start + len(block), dtype=np.uint64)
-    keys.sort()
-    keys &= np.uint64((1 << r) - 1)
-    return keys.view(np.int64)
+def stable_order(*keys) -> np.ndarray:
+    """The stable permutation that sorts the rows of the integer key
+    columns, first key first: `np.lexsort(keys[::-1])`. Each key is as
+    wide as its largest value. When the keys and the bits of the last row
+    number fit in 64 bits, it is one in-place sort of the packed words
+    (keys, row): they are distinct, so their order is the stable one, and
+    masking out the keys leaves the row numbers. When only the keys fit,
+    it is a stable argsort of the packed keys; otherwise, or when a key
+    holds a negative value, the lexsort runs."""
+    widths = [int(x.max(initial=0)).bit_length() for x in keys]
+    if sum(widths) > 64 or any(x.dtype.kind == "i" and x.min(initial=0) < 0 for x in keys):
+        return np.lexsort(keys[::-1])
+    r = (len(keys[0]) - 1).bit_length()
+    with_rows = sum(widths) + r <= 64
+    packed = np.empty(len(keys[0]), dtype=np.uint64)
+    for start in range(0, len(packed), _KEY_BLOCK):
+        rows = slice(start, start + _KEY_BLOCK)
+        block = packed[rows]
+        block[:] = 0
+        for x, width in zip(keys, widths):
+            block <<= np.uint64(width)
+            block |= x[rows].astype(np.uint64, copy=False)
+        if with_rows:
+            block <<= np.uint64(r)
+            block |= np.arange(start, start + len(block), dtype=np.uint64)
+    if not with_rows:
+        return np.argsort(packed, kind="stable")
+    packed.sort()
+    packed &= np.uint64((1 << r) - 1)
+    return packed.view(np.int64)
 
 
 @dataclass(frozen=True)

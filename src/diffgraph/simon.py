@@ -6,7 +6,7 @@ and multi-round encryption folds over a caller-supplied key list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import ParameterError

@@ -24,11 +24,12 @@ WORKERS = [1, 2, 3]
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Run the codec on `workers` threads whatever the file's size, 16 rows
-    to a written chunk and about 600 bytes of input to a read run."""
+    """Run the codec on `workers` threads whatever the file's size, at most
+    16 rows to a written chunk (every line written here is 24 bytes or
+    wider) and about 600 bytes of input to a read run."""
     monkeypatch.setattr(pddt_module, "_cpus", lambda: workers)
     monkeypatch.setattr(pddt_module, "_POOL_BYTES", 0)
-    monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_ROWS", 16)
+    monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 16 * 24 * workers)
     monkeypatch.setattr(pddt_module, "_READ_CHUNK_BYTES", 600 * workers)
 
 
@@ -212,5 +213,6 @@ def test_rows_match_the_reference_formatter(rows, workers):
                    for i, x, y, z, w in zip(ids, a, b, c, hw))
     with pytest.MonkeyPatch.context() as patch:
         force_workers(patch, workers)
-        patch.setattr(pddt_module, "_WRITE_CHUNK_ROWS", 3)
+        # at most 3 rows to a chunk: these lines are 21 bytes or wider
+        patch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 3 * 21 * workers)
         assert join_lines(differential_csv("h", ids, a, b, c, hw, n)) == ("h\n" + want).encode()

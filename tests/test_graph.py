@@ -521,6 +521,13 @@ class TestEdgeOrder:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             DiffGraph(self.COLUMNS, edges)
 
+    def test_first_dangling_edge_with_a_negative_end(self):
+        # edge order sorts the negative ends first
+        edges = Edges(np.array([3, 2, 0, -5]), np.array([0, 9, -2, 1]),
+                      np.zeros(4, dtype=np.intp), ("E",))
+        with pytest.raises(ParameterError, match=r"^edge \(-5, 1\) references a missing node$"):
+            DiffGraph(self.COLUMNS, edges)
+
     def test_list_columns_are_typed_like_arrays(self):
         g = DiffGraph(self.COLUMNS, Edges([0], [1], [0], ("E",)))
         assert g == DiffGraph(self.COLUMNS, [(0, 1, "E")])

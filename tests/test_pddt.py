@@ -25,6 +25,7 @@ from diffgraph.pddt import (
     partial_dp,
     pddt_stats,
     sample_pddt,
+    stable_order,
 )
 from diffgraph.simon import ParameterError
 
@@ -497,7 +498,97 @@ class TestColumnsChecked:
         listed = Pddt(PddtConfig(64, 0.5), [2**64 - 1, 2**63], [0, 1], [0, 0], [1, 1])
         assert [x.dtype for x in (listed.a, listed.b, listed.c, listed.hw)] == [
             np.uint64, np.uint64, np.uint64, np.uint8]
-        assert listed.a.tolist() == [2**64 - 1, 2**63]
+        assert listed.a.tolist() == [2**63, 2**64 - 1]  # the constructor sorts
+
+
+class TestTableOrder:
+    """A table's rows are put in (a, b, c) order when it is made, however
+    they were given, so every writer and the sampler see the same table."""
+
+    def test_shuffled_rows_make_the_sorted_table(self):
+        built = build_pddt(PddtConfig(6, 0.25))
+        rows = list(zip(*(x.tolist() for x in (built.a, built.b, built.c, built.hw))))
+        rng = random.Random(5)
+        rows += [(a, b, c, hw + 1) for a, b, c, hw in rng.sample(rows, 50)]  # repeated triples
+        rng.shuffle(rows)
+        config = PddtConfig(6, 0.25)
+        shuffled = Pddt(config, *zip(*rows))
+        # Python's sort is stable, so repeated triples keep their given order
+        table = Pddt(config, *zip(*sorted(rows, key=lambda row: row[:3])))
+        for col in ("a", "b", "c", "hw"):
+            assert getattr(shuffled, col).tolist() == getattr(table, col).tolist()
+        assert shuffled.to_csv() == table.to_csv()
+        assert Pddt.from_csv(shuffled.to_csv()).to_csv() == table.to_csv()
+        for seed in range(5):
+            spec = SampleSpec(0.1, True, seed)
+            assert sample_pddt(shuffled, spec).to_csv() == sample_pddt(table, spec).to_csv()
+
+
+@st.composite
+def sort_keys(draw):
+    """1 to 3 uint64 or int64 key columns of 0 to 40 rows whose widths sum
+    to a drawn total, often one that puts the keys, or the keys and the
+    row-number bits, at 64 or 65 bits; rows may repeat, and an int64 key
+    may hold a negative value."""
+    rows = draw(st.integers(0, 40))
+    dtypes = draw(st.lists(st.sampled_from([np.uint64, np.int64]), min_size=1, max_size=3))
+    caps = [64 if dtype == np.uint64 else 63 for dtype in dtypes]
+    r = (rows - 1).bit_length()
+    total = min(sum(caps), draw(st.sampled_from([64 - r, 65 - r, 64, 65])
+                                | st.integers(0, sum(caps))))
+    widths = []
+    for k, cap in enumerate(caps):
+        left = total - sum(widths)
+        widths.append(draw(st.integers(max(0, left - sum(caps[k + 1:])), min(cap, left))))
+    keys = [draw(st.lists(st.integers(0, 2**w - 1), min_size=rows, max_size=rows))
+            for w in widths]
+    if rows and draw(st.booleans()):  # rows drawn again, so many repeat
+        picks = draw(st.lists(st.integers(0, rows - 1), min_size=rows, max_size=rows))
+        keys = [[key[i] for i in picks] for key in keys]
+    for key, w in zip(keys, widths):
+        if rows and w:  # the key is exactly w bits wide
+            i = draw(st.integers(0, rows - 1))
+            key[i] |= 1 << (w - 1)
+    for key, dtype in zip(keys, dtypes):
+        if rows and dtype == np.int64 and draw(st.booleans()):
+            key[draw(st.integers(0, rows - 1))] = draw(st.integers(-2**63, -1))
+    return [np.array(key, dtype=dtype) for key, dtype in zip(keys, dtypes)]
+
+
+class TestStableOrder:
+    @settings(max_examples=300)
+    @given(sort_keys())
+    def test_is_the_lexsort(self, keys):
+        order = stable_order(*keys)
+        want = np.lexsort(keys[::-1])
+        assert order.dtype == want.dtype
+        assert order.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("widths, rows, sort", [
+        ((30, 31), 5, None),        # keys and 3 row bits: 64 bits, one in-place sort
+        ((31, 31), 5, "argsort"),   # 65 bits with the row bits, 62 without
+        ((32, 32), 5, "argsort"),   # keys of 64 bits
+        ((32, 33), 5, "lexsort"),   # keys of 65 bits
+        ((64,), 1, None),           # one row: no row bits
+        ((64,), 2, "argsort"),
+        ((0, 0, 0), 0, None),       # no rows
+    ])
+    def test_path_by_width(self, monkeypatch, widths, rows, sort):
+        rng = random.Random(len(widths) + rows)
+        # each key's top bit is set, so it is exactly its width
+        keys = [np.array([rng.getrandbits(w) | (1 << w >> 1) for _ in range(rows)],
+                         dtype=np.uint64) for w in widths]
+        want = np.lexsort(keys[::-1])
+        sorts = []
+
+        def counting(name):
+            sort = getattr(np, name)
+            return lambda *args, **kwargs: sorts.append(name) or sort(*args, **kwargs)
+
+        for name in ("argsort", "lexsort"):
+            monkeypatch.setattr(np, name, counting(name))
+        assert stable_order(*keys).tolist() == want.tolist()
+        assert sorts == ([sort] if sort else [])
 
 
 class TestSerialization:
@@ -572,9 +663,9 @@ class TestCodec:
         for col in ("a", "b", "c", "hw"):
             assert getattr(back, col).tolist() == getattr(table, col).tolist()
 
-    @pytest.mark.parametrize("n, keys", [(32, 2), (33, 3)])
-    def test_shuffled_wide_table_comes_back_sorted(self, monkeypatch, n, keys):
-        # 33-bit words are read back as 36 bits wide, past the two-key sort
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_shuffled_wide_table_comes_back_sorted(self, monkeypatch, n):
+        # three keys of 32 bits or more do not fit in one 64-bit word
         table = build_pddt(PddtConfig(n, 0.25))
         header, *rows = table.to_csv().splitlines()
         np.random.default_rng(n).shuffle(rows)
@@ -587,14 +678,14 @@ class TestCodec:
 
         monkeypatch.setattr(np, "lexsort", counting_lexsort)
         back = Pddt.from_csv(b"\n".join([header] + rows) + b"\n")
-        assert sorts == [keys]
+        assert sorts == [3]
         for col in ("a", "b", "c", "hw"):
             assert getattr(back, col).tolist() == getattr(table, col).tolist()
 
     def test_chunk_boundaries(self, monkeypatch):
         table = build_pddt(PddtConfig(8, 0.1))
         expected = seed_to_csv(table)
-        monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 7 * 32)  # 7 lines of 32 bytes
         monkeypatch.setattr(pddt_module, "_READ_CHUNK_BYTES", 100)
         assert table.to_csv() == expected
         # CRLF, a comment and a blank line first; a bad line last, in the last chunk
