@@ -12,7 +12,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths
@@ -63,9 +63,9 @@ class SearchReport:
         return "method,seed,playouts,best_hops,best_total_dp,expansions,elapsed_ms"
 
 
-def _playout(successors: Dict[int, List[int]], dp: Dict[int, float], start: int,
+def _playout(successors: List[List[int]], dp: List[float], start: int,
              choice: Callable[[range], int], max_depth: int) -> Tuple[List[int], float]:
-    """One random walk over unvisited successors, capped at max_depth hops.
+    """One random walk of node positions over unvisited successors, capped at max_depth hops.
 
     Each step draws the k-th unvisited entry of the current node's sorted
     row, k uniform, and skips the visited entries, found by bisection.
@@ -109,11 +109,9 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     up to the target node when one is set, and none if the walk misses
     it; otherwise the complete walk.
     """
-    dp, successors = graph.dp, graph.successors
-    target, max_depth = config.target_node, config.max_depth
-    for node_id, name in ((start, "start"), (target, "target")):
-        if node_id is not None and node_id not in dp:
-            raise ParameterError(f"{name} node {node_id} not in graph")
+    start = graph.position(start, "start")  # the walks run on node positions
+    target = None if config.target_node is None else graph.position(config.target_node, "target")
+    dp, successors, max_depth = graph.dp, graph.successors, config.max_depth
     t0 = time.perf_counter()
     best: Optional[PathResult] = None
     best_key = None  # best.rank_key
@@ -135,7 +133,7 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
             total = sum(map(dp.__getitem__, path))
             key = (len(path) - 1, -total, sequence)
             if best is None or key < best_key:
-                best, best_key = PathResult(sequence, total), key
+                best, best_key = graph.path_result(sequence, total), key
         trace.append(best)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport("mcs", config.seed, config.playouts, best, elapsed, steps,
@@ -197,14 +195,15 @@ def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
     """All root-to-leaf simple paths in a directed tree, by node sequence."""
     results: List[PathResult] = []
 
-    def walk(path: List[int], total: float):
+    def walk(path: List[int], total: float):  # of node positions
         succ = [v for v in graph.successors[path[-1]] if v not in path]
         if not succ:
-            results.append(PathResult(tuple(path), total))
+            results.append(graph.path_result(path, total))
             return
         for v in succ:
             walk(path + [v], total + graph.dp[v])
 
+    root = graph.position(root, "root")
     walk([root], graph.dp[root])
     return results
 

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -177,31 +177,18 @@ class _Biclique(NamedTuple):
     common: np.ndarray  # S ∩ T
     loops: bool         # whether x -> x is an edge for each x in S ∩ T
 
-    def rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """The rows of the nodes with an edge out and in: each u in S
-        shares the one row T, and each v in T the one row S, but for the
-        nodes of S ∩ T without their loop."""
-        sources, targets = self.sources.tolist(), self.targets.tolist()
-        successors = dict.fromkeys(sources, targets)
-        predecessors = dict.fromkeys(targets, sources)
-        if not self.loops:
-            for x in self.common.tolist():
-                successors[x] = [v for v in targets if v != x]
-                predecessors[x] = [u for u in sources if u != x]
-        return successors, predecessors
-
 
 class DiffGraph:
     """Immutable directed graph over differential nodes.
 
-    `columns` holds the nodes, typed and checked by `check_columns`, and
-    `edges` every edge in edge order, duplicates included; edges are given
-    as an Edges record of any order or as (src, dst, label) tuples, and
-    their columns typed and their labels checked.
-    The rows that search reads are built on first read: `dp` maps each id
-    to 2^-hw, and `successors[u]` and `predecessors[v]` are ascending id
-    rows with duplicate edges removed, all in node order. Rows may be
-    shared between nodes, so nothing may grow them.
+    `columns` holds the nodes in id order, typed and checked by
+    `check_columns`, and `edges` every edge in edge order, duplicates
+    included; edges are given as an Edges record of any order or as (src,
+    dst, label) tuples, and their columns typed and their labels checked.
+    Search walks positions, a node's rank by id: `dp[i]` is 2^-hw of node
+    i, and `successors[i]` and `predecessors[i]` are ascending rows of
+    positions with duplicate edges removed, all lists built on first read.
+    Rows may be shared between nodes, so nothing may grow them.
     """
 
     def __init__(self, columns: DifferentialColumns,
@@ -217,17 +204,27 @@ class DiffGraph:
             i = int(dangling.argmax())
             raise ParameterError(f"edge ({src[i]}, {dst[i]}) references a missing node")
 
-    @cached_property
-    def dp(self) -> Dict[int, float]:
-        return dict(zip(self.columns.ids.tolist(),
-                        map(DP_OF_HW.__getitem__, self.columns.hw.tolist())))
+    def position(self, node_id: int, name: str) -> int:
+        """The position of node `node_id`; ParameterError naming it `name` if none."""
+        i = int(np.searchsorted(self.columns.ids, node_id))
+        if self.columns.ids[i:i + 1].tolist() != [node_id]:  # past the end, or another id
+            raise ParameterError(f"{name} node {node_id} not in graph")
+        return i
+
+    def path_result(self, path: Sequence[int], total: float) -> PathResult:
+        """The PathResult of a path of positions."""
+        return PathResult(tuple(self.columns.ids.take(path).tolist()), total)
 
     @cached_property
-    def successors(self) -> Dict[int, List[int]]:
+    def dp(self) -> List[float]:
+        return list(map(DP_OF_HW.__getitem__, self.columns.hw.tolist()))
+
+    @cached_property
+    def successors(self) -> List[List[int]]:
         return self._rows[0]
 
     @cached_property
-    def predecessors(self) -> Dict[int, List[int]]:
+    def predecessors(self) -> List[List[int]]:
         return self._rows[1]
 
     @cached_property
@@ -253,34 +250,40 @@ class DiffGraph:
         return None
 
     @cached_property
-    def _rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+    def _rows(self) -> Tuple[List[List[int]], List[List[int]]]:
         """Both adjacencies; every node without an edge in one direction
-        shares one empty row there."""
-        biclique = self._biclique
-        successors, predecessors = self._edge_rows() if biclique is None else biclique.rows()
-        rows_out = dict.fromkeys(self.dp, [])  # every id, in node order
-        rows_in = rows_out.copy()
-        rows_out.update(successors)
-        rows_in.update(predecessors)
-        return rows_out, rows_in
+        shares one empty row there, and in a biclique each u in S shares the
+        row T and each v in T the row S, but for S ∩ T without its loops."""
+        ids, biclique, empty = self.columns.ids, self._biclique, []
+        successors, predecessors = [empty] * len(ids), [empty] * len(ids)
+        if biclique is None:
+            return self._edge_rows(successors, predecessors)
+        sources, targets, common = (np.searchsorted(ids, x).tolist() for x in biclique[:3])
+        for u in sources:
+            successors[u] = targets
+        for v in targets:
+            predecessors[v] = sources
+        for x in [] if biclique.loops else common:
+            successors[x] = [v for v in targets if v != x]
+            predecessors[x] = [u for u in sources if u != x]
+        return successors, predecessors
 
-    def _edge_rows(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """The rows of the nodes with an edge out and in, filled by one
-        pass over the sorted edges."""
-        successors: Dict[int, List[int]] = {}
-        predecessors: Dict[int, List[int]] = {}
+    def _edge_rows(self, successors: List[List[int]], predecessors: List[List[int]]):
+        """The empty rows filled by one pass over the sorted edges' end positions."""
+        ids = self.columns.ids
         # every row fills in ascending order and a duplicate (src, dst)
         # pair follows its first copy directly
-        for src, dst in zip(self.edges.src.tolist(), self.edges.dst.tolist()):
-            row = successors.get(src)
-            if row is None:
+        for src, dst in zip(np.searchsorted(ids, self.edges.src).tolist(),
+                            np.searchsorted(ids, self.edges.dst).tolist()):
+            row = successors[src]
+            if not row:
                 successors[src] = [dst]
             elif row[-1] != dst:
                 row.append(dst)
             else:
                 continue
-            column = predecessors.get(dst)
-            if column is None:
+            column = predecessors[dst]
+            if not column:
                 predecessors[dst] = [src]
             else:
                 column.append(src)
@@ -349,12 +352,10 @@ class GraphStats:
 def graph_stats(graph: DiffGraph) -> GraphStats:
     ids = graph.columns.ids
     # degrees count duplicate edges; edge ends become node positions
-    order = np.argsort(ids)
-    out_deg, in_deg = (np.bincount(order[np.searchsorted(ids, ends, sorter=order)],
-                                   minlength=len(ids))
+    out_deg, in_deg = (np.bincount(np.searchsorted(ids, ends), minlength=len(ids))
                        for ends in (graph.edges.src, graph.edges.dst))
     max_in = int(in_deg.max(initial=0))
-    hubs = np.sort(ids[in_deg == max_in]).tolist() if max_in > 0 else []
+    hubs = ids[in_deg == max_in].tolist() if max_in > 0 else []
     if graph._biclique is None:
         components, clustering = _shape(ids, graph.edges)
     else:
@@ -419,7 +420,7 @@ def _biclique_shape(ids: np.ndarray, in_s: np.ndarray, in_t: np.ndarray,
     joined = in_s | in_t
     components = [[x] for x in ids[~joined].tolist()]
     if joined.any():
-        components.insert(int(joined.argmax()), np.sort(ids[joined]).tolist())
+        components.insert(int(joined.argmax()), ids[joined].tolist())
     return components, clustering
 
 
@@ -473,16 +474,14 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     each hop count. An edge src -> dst needs no level at all. `work`,
     when given, is filled in.
     """
-    dp = graph.dp
-    for node_id, name in ((src, "src"), (dst, "dst")):
-        if node_id not in dp:
-            raise ParameterError(f"{name} node {node_id} not in graph")
+    src, dst = graph.position(src, "src"), graph.position(dst, "dst")  # positions from here on
     if max_hops < 1:
         raise ParameterError(f"max_hops {max_hops} < 1")
     if limit < 1:
         raise ParameterError(f"limit {limit} < 1")
+    dp = graph.dp
     if src == dst:
-        return [PathResult((src,), dp[src])]
+        return [graph.path_result([src], dp[src])]
 
     successors, predecessors = graph.successors, graph.predecessors
     dist = {dst: 0}  # complete for the distances 0..depth
@@ -515,7 +514,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
             return []
         fewest = dist[src]
 
-    layer: List[PathResult] = []
+    layer: List[Tuple[Tuple[int, ...], float]] = []  # (path, total); positions rank as ids do
     expanded = 0
 
     def extend(hops: int):
@@ -530,7 +529,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
             if len(rows) < len(path):  # u was just reached
                 expanded += 1
                 if left == 1 and links_to_dst(u):
-                    layer.append(PathResult(tuple(path) + (dst,), totals[-1] + dp[dst]))
+                    layer.append((tuple(path) + (dst,), totals[-1] + dp[dst]))
                 rows.append(iter(successors[u] if left > 1 else ()))
             v = next((v for v in rows[-1]
                       if dist.get(v, left) < left and v not in on_path and v != dst), None)
@@ -543,18 +542,18 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
                 on_path.add(v)
                 totals.append(totals[-1] + dp[v])
 
-    results: List[PathResult] = []
+    results: List[Tuple[Tuple[int, ...], float]] = []
     for hops in range(fewest, max_hops + 1):
         while depth < hops - 1:
             deepen()
         layer.clear()
         extend(hops)
-        results.extend(sorted(layer, key=lambda p: p.rank_key))
+        results.extend(sorted(layer, key=lambda p: (-p[1], p[0])))  # rank_key; hops are equal
         if len(results) >= limit:
             break
     if work is not None:
         work.expansions += expanded
-    return results[:limit]
+    return [graph.path_result(path, total) for path, total in results[:limit]]
 
 
 # --- exports -----------------------------------------------------------

@@ -91,7 +91,7 @@ DP_OF_HW = [2.0 ** -w for w in range(256)]
 
 
 def node_columns(rows, word_size: int) -> DifferentialColumns:
-    """The columns of (node_id, a, b, c, hw) rows, checked as a graph's are."""
+    """The columns of (node_id, a, b, c, hw) rows, checked and ordered as a graph's are."""
     rows = list(rows)
     columns = check_columns([[row[k] for row in rows] for k in range(5)], word_size)
     return DifferentialColumns(*columns, word_size)
@@ -224,9 +224,9 @@ def typed(x, dtype, noun: str = "columns") -> np.ndarray:
 
 
 def check_columns(columns, word_size: int) -> list:
-    """The columns, [ids,] a, b, c, hw, typed in COLUMN_DTYPES; ParameterError
-    unless they have one length, the word size is in 1..64, every a, b, c
-    word fits in it and any ids are distinct and in 0..10^18 - 1."""
+    """The columns, [ids,] a, b, c, hw, typed in COLUMN_DTYPES and, given ids, in id
+    order; ParameterError unless they have one length, the word size is in 1..64,
+    every a, b, c word fits in it and any ids are distinct and in 0..10^18 - 1."""
     columns = list(map(typed, columns, COLUMN_DTYPES[-len(columns):]))
     if len({len(x) for x in columns}) > 1:
         raise ParameterError(f"columns of lengths {[len(x) for x in columns]} differ")
@@ -236,7 +236,9 @@ def check_columns(columns, word_size: int) -> list:
     if top >> word_size:
         raise ParameterError(f"value {top:#x} does not fit in {word_size} bits")
     if len(columns) == 5:
-        ids = np.sort(columns[0])
+        if not ascending(columns[0]):
+            _gather(columns, stable_order(columns[0]))
+        ids = columns[0]
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
         if len(ids) and ids[0] < 0:

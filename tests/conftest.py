@@ -22,6 +22,19 @@ def edge_rows(graph: DiffGraph) -> list:
     return list(graph.edges)
 
 
+def rows_by_id(graph: DiffGraph):
+    """(dp, successors, predecessors) of a graph as dicts keyed by node id,
+    in node order: its lists by position, each row of positions mapped
+    back to ids."""
+    ids = graph.columns.ids.tolist()
+    assert len(graph.dp) == len(graph.successors) == len(graph.predecessors) == len(ids)
+
+    def by_id(rows):
+        return {x: [ids[p] for p in row] for x, row in zip(ids, rows)}
+
+    return dict(zip(ids, graph.dp)), by_id(graph.successors), by_id(graph.predecessors)
+
+
 def stats_by_id(stats, graph: DiffGraph):
     """The stats with their degree and clustering columns, which are in
     node order, as dicts keyed by node id, as `reference_stats` gives them."""

@@ -27,7 +27,7 @@ from diffgraph.simon import ParameterError
 def reference_mcs(graph, start, config):
     """(best_path, trace, walk_totals) of playouts that choose among the
     unvisited successors listed in full at every step."""
-    successors = {u: [] for u in graph.successors}
+    successors = {u: [] for u in graph.columns.ids.tolist()}
     for src, dst, _label in graph.edges:
         successors[src].append(dst)
     dp_of = {i: 2.0 ** -hw for i, *_, hw in node_rows(graph.columns)}
@@ -58,7 +58,7 @@ def reference_mcs(graph, start, config):
 def exact_hit_probability(graph, start, target, max_depth):
     """Chance that one uniform playout from start reaches target in 1 to
     max_depth hops, by recursion over (node, visited set)."""
-    successors = {u: set() for u in graph.dp}
+    successors = {u: set() for u in graph.columns.ids.tolist()}
     for src, dst, _label in graph.edges:
         successors[src].add(dst)
 
@@ -202,7 +202,9 @@ class TestHitRate:
         target = data.draw(st.sampled_from([i for i in ids if i != start]))
         p = exact_hit_probability(g, start, target, max_depth)
         choice, n = random.Random(seed).choice, 4000
-        hits = sum(target in bench._playout(g.successors, g.dp, start, choice, max_depth)[0][1:]
+        # a playout walks node positions
+        at, to = g.position(start, "start"), g.position(target, "target")
+        hits = sum(to in bench._playout(g.successors, g.dp, at, choice, max_depth)[0][1:]
                    for _ in range(n))
         assert abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1 / n
 

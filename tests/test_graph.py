@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import re
 import sys
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
-                      node_rows, over_edge_limit_sample, stats_by_id, traced_peak)
-from diffgraph.bench import McsConfig, mcs_search
+                      node_rows, over_edge_limit_sample, rows_by_id, stats_by_id, traced_peak)
+from diffgraph.bench import McsConfig, compare, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
     EXPORT_FORMATS,
@@ -35,7 +36,8 @@ from diffgraph.graph import (
     to_nodes_csv,
 )
 from diffgraph import pddt as pddt_module
-from diffgraph.pddt import DEFAULT_MAX_ELEMENTS, Pddt, PddtConfig, node_columns
+from diffgraph.pddt import (DEFAULT_MAX_ELEMENTS, DifferentialColumns, Pddt, PddtConfig,
+                            build_pddt, node_columns)
 from diffgraph.simon import ParameterError
 
 NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
@@ -123,8 +125,8 @@ def eager_search(graph, src, dst, max_hops, limit):
     return results[:limit], expansions
 
 
-class CountingRows(dict):
-    """A row dict that records the key of every row read."""
+class CountingRows(list):
+    """A row list that records the position of every row read."""
 
     def __init__(self, rows):
         super().__init__(rows)
@@ -562,8 +564,10 @@ class TestAdjacency:
         nodes = [(i, i, i, 0, 1) for i in (3, 0, 2)]
         edges = [(3, 0, "F"), (0, 2, "E"), (3, 0, "E"), (0, 2, "E"), (3, 2, "E"), (2, 2, "E")]
         g = DiffGraph(node_columns(nodes, 4), edges)
-        assert g.successors == {3: [0, 2], 0: [2], 2: [2]}
-        assert g.predecessors == {3: [], 0: [3], 2: [0, 2, 3]}
+        assert g.columns.ids.tolist() == [0, 2, 3]
+        _, successors, predecessors = rows_by_id(g)
+        assert successors == {3: [0, 2], 0: [2], 2: [2]}
+        assert predecessors == {3: [], 0: [3], 2: [0, 2, 3]}
         assert len(g.edges) == 6
 
     def test_duplicate_node_ids_rejected(self):
@@ -621,9 +625,71 @@ class TestAdjacency:
     @given(any_digraphs())
     def test_rows_are_the_sorted_edge_sets(self, g):
         successors, predecessors = reference_adjacency(g)
+        _, rows_out, rows_in = rows_by_id(g)
         for u in successors:
-            assert g.successors[u] == sorted(set(successors[u]))
-            assert g.predecessors[u] == sorted(set(predecessors[u]))
+            assert rows_out[u] == sorted(set(successors[u]))
+            assert rows_in[u] == sorted(set(predecessors[u]))
+
+
+def settled(reports):
+    """Search reports with their wall time, the one field that varies, zeroed."""
+    return [dataclasses.replace(report, elapsed_ms=0.0) for report in reports]
+
+
+class TestNodeOrder:
+    """Nodes are kept in id order, whatever order they are given in; search
+    takes ids, walks node positions and gives ids back."""
+
+    @settings(deadline=None)
+    @given(any_digraphs(), st.data())
+    def test_shuffled_nodes_make_the_same_graph(self, g, data):
+        order = data.draw(st.permutations(range(len(g.columns.ids))))
+        shuffled = DifferentialColumns(*(x[order] for x in g.columns[:5]), g.columns.word_size)
+        h = DiffGraph(shuffled, edge_rows(g))
+        assert h == g and node_rows(h.columns) == sorted(node_rows(shuffled))
+        rows = node_rows(shuffled)
+        assert node_rows(node_columns(rows, g.columns.word_size)) == node_rows(g.columns)
+        for fmt in EXPORT_FORMATS:
+            assert export_graph(h, fmt) == export_graph(g, fmt)
+        ids = g.columns.ids.tolist()
+        for src in ids:
+            config = McsConfig(20, seed=src, max_depth=3)
+            assert settled([mcs_search(h, src, config)]) == settled([mcs_search(g, src, config)])
+            for dst in ids:
+                assert (find_optimal_paths(h, src, dst, 3, 5)
+                        == find_optimal_paths(g, src, dst, 3, 5))
+                assert (settled(compare(h, src, dst, config))
+                        == settled(compare(g, src, dst, config)))
+
+    def test_rows_are_lists_by_position(self):
+        # ids 3 < 7 < 10 are positions 0, 1, 2
+        g = DiffGraph(node_columns([(i, i, i, 0, i % 3) for i in (10, 3, 7)], 4),
+                      [(3, 7, "E"), (10, 7, "E"), (3, 10, "E")])
+        assert g.columns.ids.tolist() == [3, 7, 10]
+        assert g.dp == [1.0, 0.5, 0.5]
+        assert g.successors == [[1, 2], [], [1]]
+        assert g.predecessors == [[], [0, 2], [0]]
+        assert g.successors[1] is g.predecessors[0]  # the one empty row
+        assert [g.position(x, "x") for x in (3, 7, 10)] == [0, 1, 2]
+        assert g.path_result([0, 2, 1], 2.0) == PathResult((3, 10, 7), 2.0)
+
+    @pytest.mark.parametrize("bad", [-1, 0, 5, 11, 2**63, 2**64, -2**63 - 1],
+                             ids=["negative", "below", "between", "above", "2^63", "2^64",
+                                  "below int64"])
+    def test_id_not_in_graph_refused(self, bad):
+        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in (10, 3, 7)], 4),
+                      [(3, 7, "E"), (7, 10, "E")])
+        calls = [
+            ("src", lambda: find_optimal_paths(g, bad, 10, 3, 1)),
+            ("dst", lambda: find_optimal_paths(g, 3, bad, 3, 1)),
+            ("start", lambda: mcs_search(g, bad, McsConfig(5))),
+            ("target", lambda: mcs_search(g, 3, McsConfig(5, target_node=bad))),
+            ("start", lambda: compare(g, bad, 10, McsConfig(5))),
+            ("target", lambda: compare(g, 3, bad, McsConfig(5))),
+        ]
+        for name, call in calls:
+            with pytest.raises(ParameterError, match=rf"^{name} node {bad} not in graph$"):
+                call()
 
 
 class TestLazyRows:
@@ -648,12 +714,14 @@ class TestLazyRows:
             find_optimal_paths(g, 1, 7, 3, 5)
             mcs_search(g, 1, McsConfig(20, seed=1, max_depth=3))
             successors, predecessors = reference_adjacency(g)
-            assert g.successors == {u: sorted(set(row)) for u, row in successors.items()}
-            assert g.predecessors == {u: sorted(set(row)) for u, row in predecessors.items()}
-            assert g.dp == {i: 2.0 ** -hw for i, *_, hw in node_rows(g.columns)}
+            dp, rows_out, rows_in = rows_by_id(g)
+            assert rows_out == {u: sorted(set(row)) for u, row in successors.items()}
+            assert rows_in == {u: sorted(set(row)) for u, row in predecessors.items()}
+            assert dp == {i: 2.0 ** -hw for i, *_, hw in node_rows(g.columns)}
             for rows, reference in ((g.successors, successors), (g.predecessors, predecessors)):
-                edgeless = [u for u, row in reference.items() if not row]
-                assert edgeless and all(rows[u] == [] for u in edgeless)
+                edgeless = [g.position(u, "edgeless") for u, row in reference.items() if not row]
+                assert edgeless and rows[edgeless[0]] == []
+                assert len({id(rows[i]) for i in edgeless}) == 1  # one shared empty row
 
 
 @st.composite
@@ -712,8 +780,9 @@ class TestBiclique:
     def check(g):
         assert stats_by_id(graph_stats(g), g) == reference_stats(g)
         successors, predecessors = reference_adjacency(g)
-        assert g.successors == {u: sorted(set(row)) for u, row in successors.items()}
-        assert g.predecessors == {u: sorted(set(row)) for u, row in predecessors.items()}
+        _, rows_out, rows_in = rows_by_id(g)
+        assert rows_out == {u: sorted(set(row)) for u, row in successors.items()}
+        assert rows_in == {u: sorted(set(row)) for u, row in predecessors.items()}
 
     @pytest.mark.parametrize("case", CASES)
     def test_case(self, case):
@@ -735,8 +804,8 @@ class TestBiclique:
             export_graph(g, fmt)
         assert "_biclique" not in vars(g)  # recognised on first read by stats or search
         assert g._biclique is not None
-        assert len({id(g.successors[u]) for u in range(4, 8)}) == 1
-        assert len({id(g.predecessors[v]) for v in range(8, 12)}) == 1
+        assert len({id(g.successors[g.position(u, "u")]) for u in range(4, 8)}) == 1
+        assert len({id(g.predecessors[g.position(v, "v")]) for v in range(8, 12)}) == 1
         self.check(g)
 
 
@@ -893,10 +962,11 @@ class TestPaths:
                     rows.read.clear()
                     every = reference_paths(g, src, dst, max_hops)
                     assert find_optimal_paths(g, src, dst, max_hops, limit) == every[:limit]
+                    read = g.columns.ids[rows.read].tolist()  # positions back to ids
                     if limit == 1 and every and every[0].hops == 1:
-                        assert rows.read == []
-                    assert len(set(rows.read)) == len(rows.read)
-                    assert all(dist[v] < max_hops for v in rows.read)
+                        assert read == []
+                    assert len(set(read)) == len(read)
+                    assert all(dist[v] < max_hops for v in read)
 
 
 class TestExports:
@@ -1191,6 +1261,15 @@ class TestMemory:
         g, peak = traced_peak(lambda: from_csv(nodes, edges))
         assert len(g.edges) == 20_001
         assert peak < 6 * 2**20  # 3.7 MiB; a 20,001 x 10,000 byte matrix is 191 MiB
+
+    def test_search_rows_of_the_n12_rule_graph(self):
+        """dp and both rows are lists by position, their rows shared: 3.6 MiB
+        on the full n=12 rule graph, where id-keyed dicts held 19.6 MiB."""
+        g = build_graph(build_pddt(PddtConfig(12, 0.1)), default_edge_rule())
+        assert g._biclique is not None  # recognised before, as stats do
+        rows, peak = traced_peak(lambda: (g.dp, g.successors, g.predecessors))
+        assert [len(x) for x in rows] == [150_748] * 3 and len(g.edges) == 303_376
+        assert peak <= 6 * 2**20
 
     def test_graphml_holds_its_output_and_a_chunk(self):
         g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
