@@ -192,19 +192,25 @@ def build_fig_tree_fixture() -> DiffGraph:
 
 
 def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
-    """All root-to-leaf simple paths in a directed tree, by node sequence."""
-    results: List[PathResult] = []
-
-    def walk(path: List[int], total: float):  # of node positions
-        succ = [v for v in graph.successors[path[-1]] if v not in path]
-        if not succ:
-            results.append(graph.path_result(path, total))
-            return
-        for v in succ:
-            walk(path + [v], total + graph.dp[v])
-
-    root = graph.position(root, "root")
-    walk([root], graph.dp[root])
+    """All root-to-leaf simple paths in a directed tree, by node sequence, from a
+    depth-first walk of positions over an explicit stack: rows[k] holds, last
+    first, the successors of path[k] off the path and not yet tried."""
+    dp, successors = graph.dp, graph.successors
+    path = [graph.position(root, "root")]
+    totals, on_path, rows, results = [dp[path[0]]], set(path), [], []
+    while path:
+        if len(rows) < len(path):  # path[-1] was just reached
+            rows.append([v for v in successors[path[-1]] if v not in on_path][::-1])
+            if not rows[-1]:
+                results.append(graph.path_result(path, totals[-1]))
+        if rows[-1]:
+            path.append(rows[-1].pop())
+            on_path.add(path[-1])
+            totals.append(totals[-1] + dp[path[-1]])
+        else:
+            rows.pop()
+            on_path.remove(path.pop())
+            totals.pop()
     return results
 
 

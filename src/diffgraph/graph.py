@@ -11,10 +11,9 @@ import math
 import operator
 import re
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,14 +167,26 @@ def _sorted_edges(edges: Edges) -> Edges:
     return Edges(src, dst, codes, tuple(in_use))
 
 
+def _positions(ids: np.ndarray, x):
+    """The positions of x, an id or an int64 array of them, among the ascending
+    node ids, and whether each x is a node's id. When the ids run from ids[0]
+    with no gap, as an empty set's do, a position is x − ids[0], x itself for
+    ids from 0; otherwise one bisection finds it and an equality test checks it."""
+    n = len(ids)
+    first, last = (int(ids[0]), int(ids[-1])) if n else (0, -1)
+    if last - first == n - 1:
+        return x - first if first else x, (first <= x) & (x <= last)
+    at = np.searchsorted(ids, x)
+    return at, ids[np.minimum(at, n - 1)] == x
+
+
 class _Biclique(NamedTuple):
-    """A graph whose edges are every pair of S × T, or every pair but the
-    loops: S and T are its distinct sources and targets, sorted."""
+    """A graph whose edges are every pair of S × T, or every pair but the loops;
+    S and T, its distinct sources and targets, are masks over node positions."""
 
     sources: np.ndarray
     targets: np.ndarray
-    common: np.ndarray  # S ∩ T
-    loops: bool         # whether x -> x is an edge for each x in S ∩ T
+    loops: bool  # whether x -> x is an edge for each x in S ∩ T
 
 
 class DiffGraph:
@@ -185,10 +196,10 @@ class DiffGraph:
     `check_columns`, and `edges` every edge in edge order, duplicates
     included; edges are given as an Edges record of any order or as (src,
     dst, label) tuples, and their columns typed and their labels checked.
-    Search walks positions, a node's rank by id: `dp[i]` is 2^-hw of node
-    i, and `successors[i]` and `predecessors[i]` are ascending rows of
-    positions with duplicate edges removed, all lists built on first read.
-    Rows may be shared between nodes, so nothing may grow them.
+    Inside, a node is its position, its rank by id: `_ends` are the edge
+    ends' positions, `dp[i]` is 2^-hw of node i, and `successors[i]` and
+    `predecessors[i]` are ascending rows of positions with duplicate edges
+    removed, lists built on first read and maybe shared, so never grown.
     """
 
     def __init__(self, columns: DifferentialColumns,
@@ -198,18 +209,20 @@ class DiffGraph:
         if not isinstance(edges, Edges):
             edges = _edges_of_rows(edges, self.columns.ids)
         self.edges = _sorted_edges(edges)
-        src, dst, ids = self.edges.src, self.edges.dst, self.columns.ids
-        dangling = ~(np.isin(src, ids) & np.isin(dst, ids))
+        src, dst = self.edges.src, self.edges.dst
+        (src_at, src_in), (dst_at, dst_in) = (_positions(self.columns.ids, x) for x in (src, dst))
+        dangling = ~(src_in & dst_in)
         if dangling.any():
             i = int(dangling.argmax())
             raise ParameterError(f"edge ({src[i]}, {dst[i]}) references a missing node")
+        self._ends = src_at, dst_at
 
     def position(self, node_id: int, name: str) -> int:
         """The position of node `node_id`; ParameterError naming it `name` if none."""
-        i = int(np.searchsorted(self.columns.ids, node_id))
-        if self.columns.ids[i:i + 1].tolist() != [node_id]:  # past the end, or another id
+        at, found = _positions(self.columns.ids, node_id)
+        if not found:
             raise ParameterError(f"{name} node {node_id} not in graph")
-        return i
+        return int(at)
 
     def path_result(self, path: Sequence[int], total: float) -> PathResult:
         """The PathResult of a path of positions."""
@@ -229,24 +242,19 @@ class DiffGraph:
 
     @cached_property
     def _biclique(self) -> Optional[_Biclique]:
-        """The graph as a biclique, when it is one: its distinct (src, dst)
-        pairs number |S|·|T|, or |S|·|T| − |S ∩ T| with no loop."""
-        src, dst = self.edges.src, self.edges.dst
-        src_step = src[1:] != src[:-1]
-        new_src = np.flatnonzero(src_step) + 1
-        sources = src[np.concatenate(([0], new_src))] if len(src) else src
-        # the first two sources of a biclique reach every target between them
-        targets = np.unique(dst[:new_src[1]] if len(new_src) > 1 else dst)
-        if not np.isin(dst, targets).all():
-            return None
-        common = np.intersect1d(sources, targets, assume_unique=True)
+        """The graph as a biclique, when it is one. Its distinct (src, dst)
+        pairs lie in S × T, so it is one when they number |S|·|T|, or
+        |S|·|T| − |S ∩ T| with no loop."""
+        src, dst = self._ends
+        sources, targets = np.zeros((2, len(self.columns.ids)), dtype=bool)
+        sources[src] = targets[dst] = True
         # a duplicate (src, dst) pair follows its first copy directly
-        pairs = min(len(src), 1) + np.count_nonzero(src_step | (dst[1:] != dst[:-1]))
-        full = len(sources) * len(targets)
+        pairs = min(len(src), 1) + np.count_nonzero((src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
+        full = np.count_nonzero(sources) * np.count_nonzero(targets)
         if pairs == full:
-            return _Biclique(sources, targets, common, True)
-        if pairs == full - len(common) and not (src == dst).any():
-            return _Biclique(sources, targets, common, False)
+            return _Biclique(sources, targets, True)
+        if pairs == full - np.count_nonzero(sources & targets) and not (src == dst).any():
+            return _Biclique(sources, targets, False)
         return None
 
     @cached_property
@@ -254,27 +262,25 @@ class DiffGraph:
         """Both adjacencies; every node without an edge in one direction
         shares one empty row there, and in a biclique each u in S shares the
         row T and each v in T the row S, but for S ∩ T without its loops."""
-        ids, biclique, empty = self.columns.ids, self._biclique, []
-        successors, predecessors = [empty] * len(ids), [empty] * len(ids)
+        n, biclique, empty = len(self.columns.ids), self._biclique, []
+        successors, predecessors = [empty] * n, [empty] * n
         if biclique is None:
             return self._edge_rows(successors, predecessors)
-        sources, targets, common = (np.searchsorted(ids, x).tolist() for x in biclique[:3])
+        in_s, in_t, loops = biclique
+        sources, targets = np.flatnonzero(in_s).tolist(), np.flatnonzero(in_t).tolist()
         for u in sources:
             successors[u] = targets
         for v in targets:
             predecessors[v] = sources
-        for x in [] if biclique.loops else common:
+        for x in [] if loops else np.flatnonzero(in_s & in_t).tolist():
             successors[x] = [v for v in targets if v != x]
             predecessors[x] = [u for u in sources if u != x]
         return successors, predecessors
 
     def _edge_rows(self, successors: List[List[int]], predecessors: List[List[int]]):
         """The empty rows filled by one pass over the sorted edges' end positions."""
-        ids = self.columns.ids
-        # every row fills in ascending order and a duplicate (src, dst)
-        # pair follows its first copy directly
-        for src, dst in zip(np.searchsorted(ids, self.edges.src).tolist(),
-                            np.searchsorted(ids, self.edges.dst).tolist()):
+        # rows fill in ascending order; a duplicate pair follows its first copy
+        for src, dst in zip(*(ends.tolist() for ends in self._ends)):
             row = successors[src]
             if not row:
                 successors[src] = [dst]
@@ -351,67 +357,54 @@ class GraphStats:
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
     ids = graph.columns.ids
-    # degrees count duplicate edges; edge ends become node positions
-    out_deg, in_deg = (np.bincount(np.searchsorted(ids, ends), minlength=len(ids))
-                       for ends in (graph.edges.src, graph.edges.dst))
+    # degrees count duplicate edges
+    out_deg, in_deg = (np.bincount(ends, minlength=len(ids)) for ends in graph._ends)
     max_in = int(in_deg.max(initial=0))
     hubs = ids[in_deg == max_in].tolist() if max_in > 0 else []
-    if graph._biclique is None:
-        components, clustering = _shape(ids, graph.edges)
-    else:
-        components, clustering = _biclique_shape(ids, out_deg > 0, in_deg > 0, graph._biclique)
+    biclique = graph._biclique
+    components, clustering = _shape(graph) if biclique is None else _biclique_shape(ids, biclique)
     return GraphStats(len(ids), len(graph.edges), in_deg, out_deg, hubs, components, clustering)
 
 
-def _shape(ids: np.ndarray, edges: Edges) -> Tuple[List[List[int]], np.ndarray]:
-    """Components and clustering of any graph, from its neighbour sets."""
-    # undirected neighbour sets, self excluded, of the nodes that have an
-    # edge to another node; every other node is a component of its own
-    adj: Dict[int, Set[int]] = {}
-    for src, dst in zip(edges.src.tolist(), edges.dst.tolist()):
-        if src != dst:
-            adj.setdefault(src, set()).add(dst)
-            adj.setdefault(dst, set()).add(src)
-
-    seen: Set[int] = set()
-    components = []
-    clustering = np.zeros(len(ids))
-    for i, x in enumerate(ids.tolist()):
-        nbrs = adj.get(x)
-        if nbrs is None:
-            components.append([x])
-            continue
+def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
+    """Components and clustering of any graph, from its rows."""
+    # undirected neighbour sets by position, self excluded
+    neighbours = [{v for row in rows for v in row if v != x}
+                  for x, rows in enumerate(zip(graph.successors, graph.predecessors))]
+    label = [-1] * len(neighbours)  # each position's component, numbered by least position
+    components: List[List[int]] = []
+    clustering = np.zeros(len(neighbours))
+    for x, nbrs in enumerate(neighbours):
         # each linked pair {u, v} of x's neighbours is counted from u and from v
         k = len(nbrs)
         if k >= 2:
-            links = sum(len(nbrs & adj[u]) for u in nbrs) // 2
-            clustering[i] = 2.0 * links / (k * (k - 1))
-        if x in seen:
-            continue
-        comp, queue = [], deque([x])
-        seen.add(x)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        components.append(sorted(comp))
+            links = sum(len(nbrs & neighbours[u]) for u in nbrs) // 2
+            clustering[x] = 2.0 * links / (k * (k - 1))
+        if label[x] < 0:
+            label[x], stack = len(components), [x]
+            while stack:
+                for v in neighbours[stack.pop()]:
+                    if label[v] < 0:
+                        label[v] = label[x]
+                        stack.append(v)
+            components.append([])
+    # ids ascend with positions, so each component fills in sorted order
+    for x, c in zip(graph.columns.ids.tolist(), label):
+        components[c].append(x)
     return components, clustering
 
 
-def _biclique_shape(ids: np.ndarray, in_s: np.ndarray, in_t: np.ndarray,
-                    biclique: _Biclique) -> Tuple[List[List[int]], np.ndarray]:
-    """Components and clustering of a biclique in closed form; in_s and in_t mark S and T.
+def _biclique_shape(ids: np.ndarray, biclique: _Biclique) -> Tuple[List[List[int]], np.ndarray]:
+    """Components and clustering of a biclique in closed form.
 
     S ∪ T is one component, since every node of it has an edge to another
     one unless S = T = {x}, and every other node is a component of its
     own. A node's neighbours, self excluded, are T, S or (S ∪ T) ∖ {x};
     of them, every pair is linked but those within S ∖ T and within T ∖ S.
     """
-    c = len(biclique.common)
-    a, b = len(biclique.sources) - c, len(biclique.targets) - c
+    in_s, in_t = biclique.sources, biclique.targets
+    c = np.count_nonzero(in_s & in_t)
+    a, b = np.count_nonzero(in_s) - c, np.count_nonzero(in_t) - c
     clustering = np.zeros(len(ids))
     clustering[in_s & ~in_t] = _clustering(0, b, c)
     clustering[in_t & ~in_s] = _clustering(a, 0, c)

@@ -24,6 +24,27 @@ from diffgraph.pddt import node_columns
 from diffgraph.simon import ParameterError
 
 
+def reference_leaf_paths(graph, root):
+    """Every path from root that no unvisited successor extends, by a
+    recursive depth-first walk over ids, its totals summed from the root."""
+    successors = {u: [] for u in graph.columns.ids.tolist()}
+    for src, dst, _label in graph.edges:
+        if dst not in successors[src]:
+            successors[src].append(dst)
+    dp_of = {node_id: 2.0 ** -hw for node_id, *_, hw in node_rows(graph.columns)}
+    results = []
+
+    def walk(path, total):
+        succ = [v for v in sorted(successors[path[-1]]) if v not in path]
+        if not succ:
+            results.append(PathResult(tuple(path), total))
+        for v in succ:
+            walk(path + [v], total + dp_of[v])
+
+    walk([root], dp_of[root])
+    return results
+
+
 def reference_mcs(graph, start, config):
     """(best_path, trace, walk_totals) of playouts that choose among the
     unvisited successors listed in full at every step."""
@@ -100,6 +121,18 @@ class TestFixture:
         best = min_weight_leaf_path(g, 0)
         assert best.node_sequence == (0, 1, 3)
         assert best.total_dp == pytest.approx(0.375)
+
+    def test_leaf_paths_of_a_chain_deeper_than_the_recursion_limit(self):
+        n = 1200
+        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in range(n)], 16),
+                      [(i, i + 1, "E") for i in range(n - 1)])
+        assert leaf_paths(g, 0) == [PathResult(tuple(range(n)), 0.5 * n)]
+
+    @settings(deadline=None)
+    @given(any_digraphs())
+    def test_leaf_paths_match_a_recursive_walk(self, g):
+        for root in g.columns.ids.tolist():
+            assert leaf_paths(g, root) == reference_leaf_paths(g, root)
 
 
 class TestMcs:

@@ -692,8 +692,92 @@ class TestNodeOrder:
                 call()
 
 
+def relabelled_path(path, new):
+    return None if path is None else PathResult(tuple(map(new.__getitem__, path.node_sequence)),
+                                                path.total_dp)
+
+
+def relabelled_reports(reports, new):
+    """Settled search reports with every path's ids mapped by `new`."""
+    return [dataclasses.replace(report, best_path=relabelled_path(report.best_path, new),
+                                trace=[relabelled_path(path, new) for path in report.trace])
+            for report in settled(reports)]
+
+
+def relabelled_stats(stats, new):
+    """`stats_by_id` stats with every id mapped by `new`."""
+    return dataclasses.replace(
+        stats, hubs=[new[x] for x in stats.hubs],
+        components=[[new[x] for x in component] for component in stats.components],
+        **{name: {new[x]: value for x, value in getattr(stats, name).items()}
+           for name in ("in_degree", "out_degree", "clustering")})
+
+
+class TestIdLayouts:
+    """Ids from 0 are their own positions, a run of ids is offset and any
+    other ids are bisected; every layout gives the same graph."""
+
+    RELABELS = {
+        "ids from 0": lambda rank: rank,
+        "a run from 10^12": lambda rank: rank + 10**12,
+        "gapped ids": lambda rank: 2 * rank + 10**12,
+    }
+
+    @settings(deadline=None)
+    @given(any_digraphs())
+    def test_relabelled_graph_gives_the_same_results(self, g):
+        ids = g.columns.ids.tolist()
+        stats = stats_by_id(graph_stats(g), g)
+        dp, rows_out, rows_in = rows_by_id(g)
+        for name, relabel in self.RELABELS.items():
+            new = {x: relabel(rank) for rank, x in enumerate(ids)}
+            h = DiffGraph(g.columns._replace(ids=np.array(list(new.values()), dtype=np.int64)),
+                          [(new[src], new[dst], label) for src, dst, label in g.edges])
+            if name == "ids from 0":
+                assert h._ends[0] is h.edges.src and h._ends[1] is h.edges.dst
+            assert stats_by_id(graph_stats(h), h) == relabelled_stats(stats, new)
+            assert rows_by_id(h) == ({new[x]: p for x, p in dp.items()},
+                                     *({new[x]: [new[v] for v in row] for x, row in rows.items()}
+                                       for rows in (rows_out, rows_in)))
+            for rank, src in enumerate(ids):
+                config = McsConfig(20, seed=rank, max_depth=3)
+                assert (relabelled_reports([mcs_search(g, src, config)], new)
+                        == settled([mcs_search(h, new[src], config)]))
+                for dst in ids:
+                    assert ([relabelled_path(p, new) for p in find_optimal_paths(g, src, dst, 3, 5)]
+                            == find_optimal_paths(h, new[src], new[dst], 3, 5))
+                    assert (relabelled_reports(compare(g, src, dst, config), new)
+                            == settled(compare(h, new[src], new[dst], config)))
+
+    LAYOUTS = {
+        "ids from 0": [0, 1, 2, 3],
+        "a run from 5": [5, 6, 7, 8],
+        "gapped ids": [3, 7, 10],
+        "gapped ids from 10^12": [10**12, 10**12 + 2, 10**12 + 4],
+        "no nodes": [],
+    }
+
+    @pytest.mark.parametrize("end", ["-2^63", "-1", "first - 1", "last + 1", "2^63 - 1"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_dangling_end_refused(self, layout, end):
+        ids = self.LAYOUTS[layout]
+        first, last = (ids[0], ids[-1]) if ids else (0, -1)
+        bad = {"-2^63": -2**63, "-1": -1, "first - 1": first - 1, "last + 1": last + 1,
+               "2^63 - 1": 2**63 - 1}[end]
+        columns = node_columns([(i, i, i, 0, 1) for i in ids], 64)
+        edges = [(first, last, "E"), (last, bad, "E"), (bad, first, "E"), (bad, bad, "E")]
+        named = min(edge for edge in edges if not {edge[0], edge[1]} <= set(ids))
+        message = rf"^edge \({named[0]}, {named[1]}\) references a missing node$"
+        for given_edges in (edges, edges[::-1]):
+            with pytest.raises(ParameterError, match=message):
+                DiffGraph(columns, given_edges)
+        g = DiffGraph(columns, edges[:1] if ids else [])
+        with pytest.raises(ParameterError, match=rf"^src node {bad} not in graph$"):
+            g.position(bad, "src")
+
+
 class TestLazyRows:
-    """Build, stats and exports never build the rows that search reads."""
+    """On a biclique, build, stats and exports never build the rows that search reads."""
 
     @staticmethod
     def sample():
