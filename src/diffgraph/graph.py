@@ -220,7 +220,7 @@ class DiffGraph:
     def position(self, node_id: int, name: str) -> int:
         """The position of node `node_id`; ParameterError naming it `name` if none."""
         at, found = _positions(self.columns.ids, node_id)
-        if not found:
+        if not found or at != int(at):  # a run's offset finds 1.5 between two positions
             raise ParameterError(f"{name} node {node_id} not in graph")
         return int(at)
 
@@ -368,8 +368,8 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
 
 def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
     """Components and clustering of any graph, from its rows."""
-    # undirected neighbour sets by position, self excluded
-    neighbours = [{v for row in rows for v in row if v != x}
+    # undirected neighbour sets by position, self excluded; edgeless nodes share ()
+    neighbours = [{v for row in rows for v in row if v != x} if rows[0] or rows[1] else ()
                   for x, rows in enumerate(zip(graph.successors, graph.predecessors))]
     label = [-1] * len(neighbours)  # each position's component, numbered by least position
     components: List[List[int]] = []

@@ -673,23 +673,33 @@ class TestNodeOrder:
         assert [g.position(x, "x") for x in (3, 7, 10)] == [0, 1, 2]
         assert g.path_result([0, 2, 1], 2.0) == PathResult((3, 10, 7), 2.0)
 
-    @pytest.mark.parametrize("bad", [-1, 0, 5, 11, 2**63, 2**64, -2**63 - 1],
-                             ids=["negative", "below", "between", "above", "2^63", "2^64",
-                                  "below int64"])
+    # each layout's ids, as given, and a value between two of them
+    ID_LAYOUTS = {
+        "ids from 0": ([0, 1, 2], 0.5),
+        "a run from 10^12": ([10**12, 10**12 + 1, 10**12 + 2], 10**12 + 0.5),
+        "gapped ids": ([10, 3, 7], 5),
+    }
+
+    @pytest.mark.parametrize("bad", ["negative", "below", "between", "above", "2^63", "2^64",
+                                     "below int64", "1.5"])
     def test_id_not_in_graph_refused(self, bad):
-        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in (10, 3, 7)], 4),
-                      [(3, 7, "E"), (7, 10, "E")])
-        calls = [
-            ("src", lambda: find_optimal_paths(g, bad, 10, 3, 1)),
-            ("dst", lambda: find_optimal_paths(g, 3, bad, 3, 1)),
-            ("start", lambda: mcs_search(g, bad, McsConfig(5))),
-            ("target", lambda: mcs_search(g, 3, McsConfig(5, target_node=bad))),
-            ("start", lambda: compare(g, bad, 10, McsConfig(5))),
-            ("target", lambda: compare(g, 3, bad, McsConfig(5))),
-        ]
-        for name, call in calls:
-            with pytest.raises(ParameterError, match=rf"^{name} node {bad} not in graph$"):
-                call()
+        for ids, between in self.ID_LAYOUTS.values():
+            first, middle, last = sorted(ids)
+            x = {"negative": -1, "below": first - 1, "between": between, "above": last + 1,
+                 "2^63": 2**63, "2^64": 2**64, "below int64": -2**63 - 1, "1.5": 1.5}[bad]
+            g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in ids], 64),
+                          [(first, middle, "E"), (middle, last, "E")])
+            calls = [
+                ("src", lambda: find_optimal_paths(g, x, last, 3, 1)),
+                ("dst", lambda: find_optimal_paths(g, first, x, 3, 1)),
+                ("start", lambda: mcs_search(g, x, McsConfig(5))),
+                ("target", lambda: mcs_search(g, first, McsConfig(5, target_node=x))),
+                ("start", lambda: compare(g, x, last, McsConfig(5))),
+                ("target", lambda: compare(g, first, x, McsConfig(5))),
+            ]
+            for name, call in calls:
+                with pytest.raises(ParameterError, match=rf"^{name} node {x} not in graph$"):
+                    call()
 
 
 def relabelled_path(path, new):
