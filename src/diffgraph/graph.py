@@ -323,7 +323,7 @@ def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
     if len(sample) == 0:
         raise ParameterError("cannot build a graph from an empty sample")
     columns = DifferentialColumns(np.arange(len(sample)), sample.a, sample.b, sample.c,
-                                  sample.hw, sample.config.word_size)
+                                  sample.hw, sample.word_size)
     # both id arrays ascend, so the product is in edge order
     sources = rule.source_predicate.select(columns)
     targets = rule.target_predicate.select(columns)
@@ -367,10 +367,17 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
 
 
 def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
-    """Components and clustering of any graph, from its rows."""
+    """Components and clustering of any graph, from its edge ends."""
     # undirected neighbour sets by position, self excluded; edgeless nodes share ()
-    neighbours = [{v for row in rows for v in row if v != x} if rows[0] or rows[1] else ()
-                  for x, rows in enumerate(zip(graph.successors, graph.predecessors))]
+    neighbours = [()] * len(graph.columns.ids)
+    src, dst = graph._ends
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    for u, v in zip(np.r_[src, dst].tolist(), np.r_[dst, src].tolist()):
+        if neighbours[u]:
+            neighbours[u].add(v)
+        else:
+            neighbours[u] = {v}
     label = [-1] * len(neighbours)  # each position's component, numbered by least position
     components: List[List[int]] = []
     clustering = np.zeros(len(neighbours))
@@ -475,6 +482,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     dp = graph.dp
     if src == dst:
         return [graph.path_result([src], dp[src])]
+    max_hops = min(max_hops, len(dp) - 1)  # no simple path has more hops
 
     successors, predecessors = graph.successors, graph.predecessors
     dist = {dst: 0}  # complete for the distances 0..depth

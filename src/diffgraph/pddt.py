@@ -100,14 +100,15 @@ def node_columns(rows, word_size: int) -> DifferentialColumns:
 class Pddt:
     """Ordered table of differentials above a threshold.
 
-    Entries are kept column-wise (a, b, c as uint64, hw as uint8), and
-    the constructor sorts them by (a, b, c), repeated triples kept in
+    A table is its word size and its columns (a, b, c as uint64, hw as
+    uint8); the threshold is the builder's input and is not kept. The
+    constructor sorts the rows by (a, b, c), repeated triples kept in
     their given order; the table is immutable after construction.
     """
 
-    def __init__(self, config: PddtConfig, a, b, c, hw):
-        self.config = config
-        cols = check_columns((a, b, c, hw), config.word_size)
+    def __init__(self, word_size: int, a, b, c, hw):
+        self.word_size = word_size
+        cols = check_columns((a, b, c, hw), word_size)
         if not ascending(*cols[:3]):
             _gather(cols, stable_order(*cols[:3]))
         self.a, self.b, self.c, self.hw = cols
@@ -121,7 +122,7 @@ class Pddt:
         """The canonical CSV's parts: the header, then id,a,b,c,dp,hw lines
         with zero-padded lowercase hex."""
         return differential_csv("id,a,b,c,dp,hw", range(len(self)), self.a, self.b,
-                                self.c, self.hw, self.config.word_size)
+                                self.c, self.hw, self.word_size)
 
     def write_csv(self, out) -> None:
         """Write the canonical CSV to the binary file object `out`, a
@@ -136,14 +137,12 @@ class Pddt:
     def from_csv(cls, data: bytes) -> "Pddt":
         """Parse the canonical CSV (see `decode_differential_csv`).
 
-        The word size is recovered from the hex field width and the
-        threshold is the smallest dp present.  The constructor puts the
-        rows in (a, b, c) order.
+        The word size is recovered from the hex field width.  The
+        constructor puts the rows in (a, b, c) order.
         """
         ids, a, b, c, hw, word_size = decode_differential_csv(data)
         del ids  # freed before the constructor sorts
-        p_threshold = 2.0 ** -int(hw.max()) if len(hw) else 1.0
-        return cls(PddtConfig(word_size, p_threshold), a, b, c, hw)
+        return cls(word_size, a, b, c, hw)
 
 
 # --- line codec --------------------------------------------------------
@@ -249,7 +248,7 @@ def check_columns(columns, word_size: int) -> list:
 
 
 class DifferentialColumns(NamedTuple):
-    """Columns of a differential CSV in file order."""
+    """Columns of differential rows: in file order as read, in id order in a graph."""
 
     ids: np.ndarray   # int64
     a: np.ndarray     # uint64
@@ -814,7 +813,7 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     # rows come in bit-interleaved order from the top bit, ascending in c
     # among equal (a, b)
     _gather(level, stable_order(level[0], level[1]))
-    return Pddt(config, *level)
+    return Pddt(config.word_size, *level)
 
 
 def _gather(cols: list, order: np.ndarray) -> None:
@@ -856,7 +855,7 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
     for size, take in zip(sizes.tolist(), takes.tolist()):
         picks.extend(rng.sample(range(size), take))
     idx = np.sort(order[np.repeat(starts, takes) + np.array(picks, dtype=np.int64)])
-    return Pddt(pddt.config, pddt.a[idx], pddt.b[idx], pddt.c[idx], pddt.hw[idx])
+    return Pddt(pddt.word_size, pddt.a[idx], pddt.b[idx], pddt.c[idx], pddt.hw[idx])
 
 
 # rows of packed words filled at a time, so that no other column is made

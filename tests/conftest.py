@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from diffgraph.graph import DiffGraph, build_graph, default_edge_rule
-from diffgraph.pddt import Pddt, PddtConfig, node_columns
+from diffgraph.pddt import Pddt, node_columns
 
 
 def node_rows(columns) -> list:
@@ -59,14 +59,14 @@ def make_hub_sample(n_nodes: int = 240, n_hubs: int = 4) -> Pddt:
     b = list(range(n_nodes))
     c = [0] * n_nodes
     hw = [1 if i < n_hubs else (2 if i % 2 == 0 else 3) for i in range(n_nodes)]
-    return Pddt(PddtConfig(16, 0.1), a, b, c, hw)
+    return Pddt(16, a, b, c, hw)
 
 
 def over_edge_limit_sample() -> Pddt:
     """16,385 rows, each a source (c = 0) and a target (hw = 1) of the
     default rule, whose product of 268,468,225 edges is past the bound."""
     rows = np.arange(16_385)
-    return Pddt(PddtConfig(16, 0.5), rows, rows, np.zeros_like(rows), np.ones_like(rows))
+    return Pddt(16, rows, rows, np.zeros_like(rows), np.ones_like(rows))
 
 
 @pytest.fixture

@@ -149,7 +149,7 @@ def test_small_file_starts_no_thread(monkeypatch, expected):
     monkeypatch.setattr(threading.Thread, "start", lambda *args: pytest.fail("thread started"))
     assert len(expected[0]) < pddt_module._POOL_BYTES
     decoded = decode_differential_csv(expected[0])
-    assert Pddt(PddtConfig(8, 0.25), *decoded[1:5]).to_csv() == expected[0]
+    assert Pddt(8, *decoded[1:5]).to_csv() == expected[0]
 
 
 class TestThreadsJoined:

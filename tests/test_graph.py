@@ -92,6 +92,7 @@ def eager_search(graph, src, dst, max_hops, limit):
     dp_of = {node_id: 2.0 ** -hw for node_id, *_, hw in node_rows(graph.columns)}
     if src == dst:
         return [PathResult((src,), dp_of[src])], 0
+    max_hops = min(max_hops, len(dp_of) - 1)  # no simple path has more hops
     dist, frontier = {dst: 0}, [dst]
     for d in range(1, max_hops + 1):
         reached = []
@@ -310,7 +311,7 @@ def tables(draw):
                                    st.one_of(st.integers(0, 2), st.integers(0, 255))),
                          min_size=1, max_size=12))
     a, b, c, hw = zip(*rows)
-    return Pddt(PddtConfig(n, 0.5), a, b, c, hw)
+    return Pddt(n, a, b, c, hw)
 
 
 RULES = [
@@ -436,9 +437,7 @@ class TestBuildGraph:
 
     def test_self_loop_exclusion(self):
         # 5 sources x 3 targets with 2 overlapping nodes -> 13 edges
-        from diffgraph.pddt import Pddt, PddtConfig
-        sample = Pddt(PddtConfig(4, 0.1),
-                      a=[0, 1, 2, 3, 4, 5], b=[0, 1, 2, 3, 4, 5],
+        sample = Pddt(4, a=[0, 1, 2, 3, 4, 5], b=[0, 1, 2, 3, 4, 5],
                       c=[0, 0, 0, 0, 0, 1], hw=[2, 2, 2, 1, 1, 1])
         rule = EdgeRule(Predicate("output", "=", 0), Predicate("weight", ">=", 0.5),
                         allow_self_loops=False)
@@ -461,9 +460,8 @@ class TestBuildGraph:
         assert len(g.edges) == expected
 
     def test_empty_sample_rejected(self):
-        from diffgraph.pddt import Pddt, PddtConfig
         with pytest.raises(ParameterError):
-            build_graph(Pddt(PddtConfig(4, 0.5), [], [], [], []), default_edge_rule())
+            build_graph(Pddt(4, [], [], [], []), default_edge_rule())
 
     def test_edge_product_over_the_limit_refused(self, monkeypatch):
         sample = over_edge_limit_sample()
@@ -787,23 +785,32 @@ class TestIdLayouts:
 
 
 class TestLazyRows:
-    """On a biclique, build, stats and exports never build the rows that search reads."""
+    """Build, stats and exports never build the rows that search reads."""
 
     @staticmethod
     def sample():
         # every third node has output 5, so no out-edge; only hw 1 nodes are targets
         n = 40
-        return Pddt(PddtConfig(16, 0.1), range(n), range(n),
+        return Pddt(16, range(n), range(n),
                     [5 * (i % 3 == 0) for i in range(n)], [1 + (i % 7 > 0) for i in range(n)])
 
     def test_rows_built_on_first_read(self):
+        self.check_rows_built_on_first_read(build_graph(self.sample(), default_edge_rule()))
+
+    def test_rows_built_on_first_read_off_a_biclique(self):
         built = build_graph(self.sample(), default_edge_rule())
+        g = DiffGraph(built.columns, list(built.edges)[1:])  # S x T less one pair
+        assert g._biclique is None
+        self.check_rows_built_on_first_read(g)
+
+    @staticmethod
+    def check_rows_built_on_first_read(built):
         read = from_csv(to_nodes_csv(built), to_edges_csv(built))
         for g in (built, read):
             graph_stats(g)
             for fmt in EXPORT_FORMATS:
                 export_graph(g, fmt)
-            assert {"dp", "successors", "predecessors"}.isdisjoint(vars(g))
+            assert {"dp", "_rows", "successors", "predecessors"}.isdisjoint(vars(g))
 
             find_optimal_paths(g, 1, 7, 3, 5)
             mcs_search(g, 1, McsConfig(20, seed=1, max_depth=3))
@@ -841,7 +848,7 @@ def near_bicliques(draw):
 def overlapping_biclique(self_loops):
     """A rule graph on ids 0..11: the sources 0..7 have output 0 and the
     targets 0..3 and 8..11 have hw 1, so 0..3 are both."""
-    sample = Pddt(PddtConfig(16, 0.1), range(12), range(12),
+    sample = Pddt(16, range(12), range(12),
                   [0] * 8 + [1] * 4, [1] * 4 + [2] * 4 + [1] * 4)
     return build_graph(sample, EdgeRule(Predicate("output", "=", 0),
                                         Predicate("weight", ">=", 0.5), self_loops))
@@ -1022,6 +1029,17 @@ class TestPaths:
         assert find_optimal_paths(g, 0, n - 1, n - 1, 5, work) == [
             PathResult(tuple(range(n)), n * 0.5)]
         assert work.expansions == n - 1
+
+    def test_hop_counts_stop_at_the_longest_simple_path(self):
+        # a 3-node chain's simple paths have at most 2 hops, so no higher
+        # hop count is searched
+        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in range(3)], 4),
+                      [(0, 1, "E"), (1, 2, "E")])
+        searches = []
+        for max_hops in (2, 10**6):
+            work = PathSearchWork()
+            searches.append((find_optimal_paths(g, 0, 2, max_hops, 10, work), work.expansions))
+        assert searches[0] == searches[1] == ([PathResult((0, 1, 2), 1.5)], 2)
 
     @settings(deadline=None)
     @given(any_digraphs())

@@ -330,7 +330,7 @@ class TestSample:
         assert triple_set(s) <= triple_set(table)
 
     def test_empty_table_rejected(self):
-        empty = Pddt(PddtConfig(4, 0.5), [], [], [], [])
+        empty = Pddt(4, [], [], [], [])
         with pytest.raises(ParameterError):
             sample_pddt(empty, SampleSpec())
 
@@ -396,7 +396,7 @@ class TestSampleOrder:
         # 4 rows need r = 2 row bits beside c's `width` bits
         top = 2 ** width - 1
         c = [top, 2 ** (width - 1), top, 2 ** (width - 1) + 1]
-        table = Pddt(PddtConfig(64, 0.5), range(4), range(4), c, [1, 0, 1, 1])
+        table = Pddt(64, range(4), range(4), c, [1, 0, 1, 1])
         for seed in range(8):
             for quota_rule in (True, False):
                 spec = SampleSpec(0.5, quota_rule, seed)
@@ -448,7 +448,7 @@ class TestSampleWithoutQuota:
 
 class TestStats:
     def test_empty(self):
-        s = pddt_stats(Pddt(PddtConfig(4, 0.5), [], [], [], []))
+        s = pddt_stats(Pddt(4, [], [], [], []))
         assert s.entries == 0 and s.weight_histogram == {}
         assert s.min_dp is None and s.max_dp is None
 
@@ -473,7 +473,7 @@ class TestColumnsChecked:
         cols[short] = cols[short][:1]
         lengths = [1 if k == short else 2 for k in range(4)]
         with pytest.raises(ParameterError, match=re.escape(f"columns of lengths {lengths} differ")):
-            Pddt(PddtConfig(4, 0.5), *cols)
+            Pddt(4, *cols)
 
     @pytest.mark.parametrize("a, hw, message", [
         ([1], [300], "columns must hold integers in 0..255"),
@@ -484,18 +484,18 @@ class TestColumnsChecked:
     def test_value_its_dtype_cannot_hold_rejected(self, a, hw, message):
         # a cast to uint8 or uint64 would store hw 300 as 44, -1 as 255 and 1.7 as 1
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            Pddt(PddtConfig(4, 0.5), np.array(a), np.array([1]), np.array([0]), np.array(hw))
+            Pddt(4, np.array(a), np.array([1]), np.array([0]), np.array(hw))
 
     def test_ragged_list_rejected(self):
         with pytest.raises(ParameterError, match="^columns must be one-dimensional$"):
-            Pddt(PddtConfig(4, 0.5), [[1], [1, 2]], [1, 1], [0, 0], [1, 1])
+            Pddt(4, [[1], [1, 2]], [1, 1], [0, 0], [1, 1])
 
     def test_columns_of_their_dtype_are_kept_and_lists_typed(self):
         a, b, c = (np.array([1, 2], dtype=np.uint64) for _ in range(3))
         hw = np.array([1, 1], dtype=np.uint8)
-        t = Pddt(PddtConfig(4, 0.5), a, b, c, hw)
+        t = Pddt(4, a, b, c, hw)
         assert t.a is a and t.b is b and t.c is c and t.hw is hw
-        listed = Pddt(PddtConfig(64, 0.5), [2**64 - 1, 2**63], [0, 1], [0, 0], [1, 1])
+        listed = Pddt(64, [2**64 - 1, 2**63], [0, 1], [0, 0], [1, 1])
         assert [x.dtype for x in (listed.a, listed.b, listed.c, listed.hw)] == [
             np.uint64, np.uint64, np.uint64, np.uint8]
         assert listed.a.tolist() == [2**63, 2**64 - 1]  # the constructor sorts
@@ -511,10 +511,9 @@ class TestTableOrder:
         rng = random.Random(5)
         rows += [(a, b, c, hw + 1) for a, b, c, hw in rng.sample(rows, 50)]  # repeated triples
         rng.shuffle(rows)
-        config = PddtConfig(6, 0.25)
-        shuffled = Pddt(config, *zip(*rows))
+        shuffled = Pddt(6, *zip(*rows))
         # Python's sort is stable, so repeated triples keep their given order
-        table = Pddt(config, *zip(*sorted(rows, key=lambda row: row[:3])))
+        table = Pddt(6, *zip(*sorted(rows, key=lambda row: row[:3])))
         for col in ("a", "b", "c", "hw"):
             assert getattr(shuffled, col).tolist() == getattr(table, col).tolist()
         assert shuffled.to_csv() == table.to_csv()
@@ -600,7 +599,7 @@ class TestSerialization:
     )
 
     def golden_table(self):
-        return Pddt(PddtConfig(4, 0.25), [0, 1, 3], [0, 1, 3], [0, 0, 0], [0, 1, 2])
+        return Pddt(4, [0, 1, 3], [0, 1, 3], [0, 0, 0], [0, 1, 2])
 
     def test_golden_csv(self):
         assert self.golden_table().to_csv().decode() == self.GOLDEN
@@ -609,21 +608,21 @@ class TestSerialization:
         t = build_pddt(PddtConfig(8, 0.25))
         back = Pddt.from_csv(t.to_csv())
         assert back.to_csv() == t.to_csv()
-        assert back.config.word_size == 8
+        assert back.word_size == 8
 
     def test_from_csv_skips_comments(self):
         data = ("# seed=42\n" + self.GOLDEN).encode()
         t = Pddt.from_csv(data)
-        assert len(t) == 3 and t.config.word_size == 4
+        assert len(t) == 3 and t.word_size == 4
 
     def test_hex_padding_n16(self):
-        t = Pddt(PddtConfig(16, 0.5), [1], [1], [0], [1])
+        t = Pddt(16, [1], [1], [0], [1])
         assert b"0x0001,0x0001,0x0000" in t.to_csv()
 
 
 def seed_to_csv(table):
     """Per-row reference formatter: the oracle for the numpy writer."""
-    n = table.config.word_size
+    n = table.word_size
     digits = -(-n // 4)
     lines = ["id,a,b,c,dp,hw"]
     for i in range(len(table)):
@@ -642,7 +641,7 @@ def tables(draw, unique=False):
     triples = st.tuples(word, word, word)
     keys = draw(st.lists(triples, min_size=1, max_size=40, unique=unique))
     rows = sorted((a, b, c, draw(st.integers(0, min(n, 20)))) for a, b, c in keys)
-    return Pddt(PddtConfig(n, 0.5), *zip(*rows))
+    return Pddt(n, *zip(*rows))
 
 
 class TestCodec:
@@ -651,7 +650,7 @@ class TestCodec:
         data = table.to_csv()
         assert data == seed_to_csv(table)
         back = Pddt.from_csv(data)
-        assert back.config.word_size == -(-table.config.word_size // 4) * 4
+        assert back.word_size == -(-table.word_size // 4) * 4
         for col in ("a", "b", "c", "hw"):
             assert getattr(back, col).tolist() == getattr(table, col).tolist()
 
@@ -706,17 +705,17 @@ class TestCodec:
         assert data.decode().splitlines()[1:] == [f"{i},0x0,0x0,0x0,1,0" for i in ids]
 
     def test_values_checked_against_word_size_not_hex_width(self):
-        assert b",0x1f,0x00,0x1f," in Pddt(PddtConfig(5, 0.5), [0x1f], [0], [0x1f], [0]).to_csv()
+        assert b",0x1f,0x00,0x1f," in Pddt(5, [0x1f], [0], [0x1f], [0]).to_csv()
         for field in range(3):
             cols = [[0], [0], [0]]
             cols[field] = [0x20]
             with pytest.raises(ParameterError, match=r"^value 0x20 does not fit in 5 bits$"):
-                Pddt(PddtConfig(5, 0.5), *cols, [0])
+                Pddt(5, *cols, [0])
 
     def test_empty_input(self):
         for data in (b"", b"id,a,b,c,dp,hw\n", b"# only a comment\n\n"):
             t = Pddt.from_csv(data)
-            assert len(t) == 0 and t.config.word_size == 4 and t.config.p_threshold == 1.0
+            assert len(t) == 0 and t.word_size == 4
 
     @pytest.mark.parametrize("line, message", [
         ("0,0x1,0x1,0x0,0.5", "expected 6 comma-separated fields, got 5"),
