@@ -180,6 +180,21 @@ def _positions(ids: np.ndarray, x):
     return at, ids[np.minimum(at, n - 1)] == x
 
 
+def _distinct(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The mask of the sorted edge ends that head their (src, dst) pair's run of copies."""
+    return (np.diff(src, prepend=-1) != 0) | (np.diff(dst, prepend=-1) != 0)  # positions are >= 0
+
+
+def _group(rows: list, owner: np.ndarray, other: np.ndarray, kind) -> list:
+    """rows, with rows[u] = kind(the entries of `other` beside each run of u in the sorted
+    `owner`); the rows of positions without a run are kept."""
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # positions are >= 0
+    bounds, entries = np.append(starts, len(owner)).tolist(), other.tolist()
+    for u, lo, hi in zip(owner[starts].tolist(), bounds, bounds[1:]):
+        rows[u] = kind(entries[lo:hi])
+    return rows
+
+
 class _Biclique(NamedTuple):
     """A graph whose edges are every pair of S × T, or every pair but the loops;
     S and T, its distinct sources and targets, are masks over node positions."""
@@ -248,8 +263,7 @@ class DiffGraph:
         src, dst = self._ends
         sources, targets = np.zeros((2, len(self.columns.ids)), dtype=bool)
         sources[src] = targets[dst] = True
-        # a duplicate (src, dst) pair follows its first copy directly
-        pairs = min(len(src), 1) + np.count_nonzero((src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
+        pairs = np.count_nonzero(_distinct(src, dst))
         full = np.count_nonzero(sources) * np.count_nonzero(targets)
         if pairs == full:
             return _Biclique(sources, targets, True)
@@ -278,22 +292,12 @@ class DiffGraph:
         return successors, predecessors
 
     def _edge_rows(self, successors: List[List[int]], predecessors: List[List[int]]):
-        """The empty rows filled by one pass over the sorted edges' end positions."""
-        # rows fill in ascending order; a duplicate pair follows its first copy
-        for src, dst in zip(*(ends.tolist() for ends in self._ends)):
-            row = successors[src]
-            if not row:
-                successors[src] = [dst]
-            elif row[-1] != dst:
-                row.append(dst)
-            else:
-                continue
-            column = predecessors[dst]
-            if not column:
-                predecessors[dst] = [src]
-            else:
-                column.append(src)
-        return successors, predecessors
+        """The empty rows filled from the distinct sorted edge ends: successors grouped by
+        source, predecessors by target after one stable sort, so sources ascend in each."""
+        first = _distinct(*self._ends)
+        src, dst = (ends[first] for ends in self._ends)
+        by_dst = stable_order(dst)
+        return _group(successors, src, dst, list), _group(predecessors, dst[by_dst], src[by_dst], list)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
@@ -368,16 +372,12 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
 
 def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
     """Components and clustering of any graph, from its edge ends."""
-    # undirected neighbour sets by position, self excluded; edgeless nodes share ()
-    neighbours = [()] * len(graph.columns.ids)
+    # undirected neighbour sets by position, loops skipped; edgeless nodes share ()
     src, dst = graph._ends
     keep = src != dst
-    src, dst = src[keep], dst[keep]
-    for u, v in zip(np.r_[src, dst].tolist(), np.r_[dst, src].tolist()):
-        if neighbours[u]:
-            neighbours[u].add(v)
-        else:
-            neighbours[u] = {v}
+    ends, others = np.r_[src[keep], dst[keep]], np.r_[dst[keep], src[keep]]
+    by_end = stable_order(ends)
+    neighbours = _group([()] * len(graph.columns.ids), ends[by_end], others[by_end], set)
     label = [-1] * len(neighbours)  # each position's component, numbered by least position
     components: List[List[int]] = []
     clustering = np.zeros(len(neighbours))
@@ -471,8 +471,9 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     dst in the hops it has left. That test, for h hops, reads only the
     distances below h, so the search grows one distance level at a time,
     as the hop count needs it: to find src's own distance, and before
-    each hop count. An edge src -> dst needs no level at all. `work`,
-    when given, is filled in.
+    each hop count. An edge src -> dst needs no level at all. Hop counts
+    also stop once the search has run out of nodes that reach dst, at
+    their number. `work`, when given, is filled in.
     """
     src, dst = graph.position(src, "src"), graph.position(dst, "dst")  # positions from here on
     if max_hops < 1:
@@ -547,6 +548,8 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
     for hops in range(fewest, max_hops + 1):
         while depth < hops - 1:
             deepen()
+        if len(dist) < hops:  # then dist is every node that reaches dst: too few for hops + 1
+            break
         layer.clear()
         extend(hops)
         results.extend(sorted(layer, key=lambda p: (-p[1], p[0])))  # rank_key; hops are equal

@@ -260,7 +260,7 @@ class DifferentialColumns(NamedTuple):
 
 class Dec(NamedTuple):
     """A line slot: a column of ids from 0 to 10^18 - 1, in decimal. The
-    column is an integer array, or a range of row numbers, which is made
+    column is an int64 array, or a range of row numbers, which is made
     into an array one chunk of rows at a time."""
 
     column: int
@@ -291,7 +291,6 @@ class Lines:
         if len(codes) == 0:
             return
         widths = {}  # column -> bytes of its slots
-        self.id_dtypes = {}  # Dec column -> the dtype its ids are divided in
         for piece in pieces:
             if isinstance(piece, Hex):
                 widths[piece.column] = -(-word_size // 4)
@@ -299,7 +298,6 @@ class Lines:
                 x = columns[piece.column]
                 top = x[-1] if isinstance(x, range) else int(x.max())
                 widths[piece.column] = 4 * -(-len(str(top)) // 4)  # written four digits at a time
-                self.id_dtypes[piece.column] = np.uint32 if top >> 32 == 0 else np.int64
         self.slots, start = [], 0  # (piece, first byte, width) per piece
         for piece in pieces:
             width = len(piece) if isinstance(piece, bytes) else widths[piece.column]
@@ -348,10 +346,8 @@ class Lines:
             if isinstance(piece, Hex):
                 _put_hex(line, start, width, x)
                 continue
-            dtype = self.id_dtypes[piece.column]
             if isinstance(x, range):
-                x = np.arange(x.start, x.stop, x.step, dtype)
-            x = x.astype(dtype, copy=False)
+                x = np.arange(x.start, x.stop, x.step, dtype=np.int64)
             for k in range(width - 1):  # a digit is kept from the id's first on
                 np.greater_equal(x, 10 ** (width - 1 - k), out=keep[:, start + k])
             _put_decimal(_items(line, start, np.uint32, width // 4), x)

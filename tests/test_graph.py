@@ -37,7 +37,7 @@ from diffgraph.graph import (
 )
 from diffgraph import pddt as pddt_module
 from diffgraph.pddt import (DEFAULT_MAX_ELEMENTS, DifferentialColumns, Pddt, PddtConfig,
-                            build_pddt, node_columns)
+                            SampleSpec, build_pddt, node_columns, sample_pddt)
 from diffgraph.simon import ParameterError
 
 NODES_HEADER = "id,input_a,input_b,output,weight,hw\n"
@@ -104,6 +104,7 @@ def eager_search(graph, src, dst, max_hops, limit):
         frontier = reached
     if src not in dist:
         return [], 0
+    max_hops = min(max_hops, len(dist))  # a path of h hops needs h + 1 nodes that reach dst
     expansions, layer, results = 0, [], []
 
     def extend(path, total, left):
@@ -898,6 +899,15 @@ class TestBiclique:
         assert (g._biclique is not None) == is_biclique(g)
         self.check(g)
 
+    def test_sampled_rule_graph_less_every_7th_edge(self):
+        """The n=8 table's 10% sample under the default rule, every 7th edge
+        dropped: a larger graph that is no biclique."""
+        sample = sample_pddt(build_pddt(PddtConfig(8, 0.1)), SampleSpec(0.1, True, 3))
+        built = build_graph(sample, default_edge_rule())
+        g = DiffGraph(built.columns, [e for i, e in enumerate(built.edges) if (i + 1) % 7])
+        assert (len(g.columns.ids), len(g.edges)) == (3344, 563) and g._biclique is None
+        self.check(g)
+
     @pytest.mark.parametrize("self_loops", [True, False])
     def test_built_graph_shares_rows(self, self_loops):
         g = overlapping_biclique(self_loops)
@@ -1040,6 +1050,16 @@ class TestPaths:
             work = PathSearchWork()
             searches.append((find_optimal_paths(g, 0, 2, max_hops, 10, work), work.expansions))
         assert searches[0] == searches[1] == ([PathResult((0, 1, 2), 1.5)], 2)
+
+    def test_hop_counts_stop_where_the_backward_search_ends(self):
+        # only 0, 1 and 2 reach 2, so no path has more than 2 hops, however
+        # many nodes the graph has
+        n = 20_000
+        g = DiffGraph(node_columns([(i, i, i, 0, 1) for i in range(n)], 16),
+                      [(0, 1, "E"), (1, 2, "E")])
+        work = PathSearchWork()
+        assert find_optimal_paths(g, 0, 2, 10**9, 10, work) == [PathResult((0, 1, 2), 1.5)]
+        assert work.expansions == 4
 
     @settings(deadline=None)
     @given(any_digraphs())
