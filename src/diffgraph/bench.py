@@ -192,25 +192,18 @@ def build_fig_tree_fixture() -> DiffGraph:
 
 
 def leaf_paths(graph: DiffGraph, root: int) -> List[PathResult]:
-    """All root-to-leaf simple paths in a directed tree, by node sequence, from a
-    depth-first walk of positions over an explicit stack: rows[k] holds, last
-    first, the successors of path[k] off the path and not yet tried."""
+    """Every simple path from the root that no unvisited successor extends, by
+    node sequence: in a directed tree, every root-to-leaf path. The paths grow
+    from a stack of (path of positions, its accumulated probability)."""
     dp, successors = graph.dp, graph.successors
-    path = [graph.position(root, "root")]
-    totals, on_path, rows, results = [dp[path[0]]], set(path), [], []
-    while path:
-        if len(rows) < len(path):  # path[-1] was just reached
-            rows.append([v for v in successors[path[-1]] if v not in on_path][::-1])
-            if not rows[-1]:
-                results.append(graph.path_result(path, totals[-1]))
-        if rows[-1]:
-            path.append(rows[-1].pop())
-            on_path.add(path[-1])
-            totals.append(totals[-1] + dp[path[-1]])
-        else:
-            rows.pop()
-            on_path.remove(path.pop())
-            totals.pop()
+    root = graph.position(root, "root")
+    stack, results = [((root,), dp[root])], []
+    while stack:
+        path, total = stack.pop()
+        row = [v for v in successors[path[-1]] if v not in path]
+        if not row:
+            results.append(graph.path_result(path, total))
+        stack.extend((path + (v,), total + dp[v]) for v in reversed(row))  # least pops first
     return results
 
 

@@ -372,21 +372,10 @@ def graph_stats(graph: DiffGraph) -> GraphStats:
 
 def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
     """Components and clustering of any graph, from its edge ends."""
-    # undirected neighbour sets by position, loops skipped; edgeless nodes share ()
-    src, dst = graph._ends
-    keep = src != dst
-    ends, others = np.r_[src[keep], dst[keep]], np.r_[dst[keep], src[keep]]
-    by_end = stable_order(ends)
-    neighbours = _group([()] * len(graph.columns.ids), ends[by_end], others[by_end], set)
+    neighbours = _neighbour_sets(len(graph.columns.ids), *graph._ends)
     label = [-1] * len(neighbours)  # each position's component, numbered by least position
     components: List[List[int]] = []
-    clustering = np.zeros(len(neighbours))
-    for x, nbrs in enumerate(neighbours):
-        # each linked pair {u, v} of x's neighbours is counted from u and from v
-        k = len(nbrs)
-        if k >= 2:
-            links = sum(len(nbrs & neighbours[u]) for u in nbrs) // 2
-            clustering[x] = 2.0 * links / (k * (k - 1))
+    for x in range(len(neighbours)):
         if label[x] < 0:
             label[x], stack = len(components), [x]
             while stack:
@@ -395,10 +384,38 @@ def _shape(graph: DiffGraph) -> Tuple[List[List[int]], np.ndarray]:
                         label[v] = label[x]
                         stack.append(v)
             components.append([])
+    # a node's linked pairs of neighbours are its triangles; each triangle is found once,
+    # from its least corner in (degree, position) order, once every set keeps only the
+    # neighbours after its node; a node of degree below 2, on no triangle, shares ()
+    degree = list(map(len, neighbours))
+    for u, k in enumerate(degree):
+        neighbours[u] = ({v for v in neighbours[u] if degree[v] > k or degree[v] == k and v > u}
+                         if k >= 2 else ())
+    links = [0] * len(degree)
+    for u, later in enumerate(neighbours):
+        for v in later:
+            common = later & neighbours[v]
+            links[u] += len(common)
+            links[v] += len(common)
+            for w in common:
+                links[w] += 1
+    k, links = np.array(degree, dtype=np.int64), np.array(links, dtype=np.int64)
+    clustering, on = np.zeros(len(k)), k >= 2
+    clustering[on] = 2.0 * links[on] / (k[on] * (k[on] - 1))
     # ids ascend with positions, so each component fills in sorted order
     for x, c in zip(graph.columns.ids.tolist(), label):
         components[c].append(x)
     return components, clustering
+
+
+def _neighbour_sets(n: int, src: np.ndarray, dst: np.ndarray) -> list:
+    """The undirected neighbour sets of n positions from the edge ends, loops
+    skipped; positions without a neighbour share (). The sorted end arrays
+    are freed on return, before the sets are walked."""
+    keep = src != dst
+    ends, others = np.r_[src[keep], dst[keep]], np.r_[dst[keep], src[keep]]
+    by_end = stable_order(ends)
+    return _group([()] * n, ends[by_end], others[by_end], set)
 
 
 def _biclique_shape(ids: np.ndarray, biclique: _Biclique) -> Tuple[List[List[int]], np.ndarray]:
@@ -516,42 +533,25 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
             return []
         fewest = dist[src]
 
-    layer: List[Tuple[Tuple[int, ...], float]] = []  # (path, total); positions rank as ids do
+    results: List[Tuple[Tuple[int, ...], float]] = []  # (path, total); positions rank as ids do
     expanded = 0
-
-    def extend(hops: int):
-        """Every simple path src -> dst of exactly `hops` hops, into layer,
-        by a depth-first walk over an explicit stack: rows[k] holds the
-        successors of path[k] not yet tried, and totals[k] the path's
-        accumulated probability up to path[k]."""
-        nonlocal expanded
-        path, totals, on_path, rows = [src], [dp[src]], {src}, []
-        while path:
-            u, left = path[-1], hops + 1 - len(path)  # u is `left` hops from dst
-            if len(rows) < len(path):  # u was just reached
-                expanded += 1
-                if left == 1 and links_to_dst(u):
-                    layer.append((tuple(path) + (dst,), totals[-1] + dp[dst]))
-                rows.append(iter(successors[u] if left > 1 else ()))
-            v = next((v for v in rows[-1]
-                      if dist.get(v, left) < left and v not in on_path and v != dst), None)
-            if v is None:
-                rows.pop()
-                on_path.remove(path.pop())
-                totals.pop()
-            else:
-                path.append(v)
-                on_path.add(v)
-                totals.append(totals[-1] + dp[v])
-
-    results: List[Tuple[Tuple[int, ...], float]] = []
     for hops in range(fewest, max_hops + 1):
         while depth < hops - 1:
             deepen()
         if len(dist) < hops:  # then dist is every node that reaches dst: too few for hops + 1
             break
-        layer.clear()
-        extend(hops)
+        # every simple path src -> dst of exactly `hops` hops, grown from a stack of
+        # (partial path, its accumulated probability)
+        layer, stack = [], [((src,), dp[src])]
+        while stack:
+            path, total = stack.pop()
+            expanded += 1
+            left = hops + 1 - len(path)  # path[-1] is `left` hops from dst
+            if left > 1:
+                stack.extend((path + (v,), total + dp[v]) for v in successors[path[-1]]
+                             if dist.get(v, left) < left and v != dst and v not in path)
+            elif links_to_dst(path[-1]):
+                layer.append((path + (dst,), total + dp[dst]))
         results.extend(sorted(layer, key=lambda p: (-p[1], p[0])))  # rank_key; hops are equal
         if len(results) >= limit:
             break

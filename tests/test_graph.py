@@ -950,6 +950,18 @@ class TestStats:
     def test_hub_fixture_matches_reference(self, hub_graph):
         assert stats_by_id(graph_stats(hub_graph), hub_graph) == reference_stats(hub_graph)
 
+    def test_wheel_clustering_in_closed_form(self):
+        """Rim 0..7 is a cycle and hub 8 links to every rim node: a rim node's
+        three neighbours hold two links and the hub's eight neighbours eight.
+        The hub, of highest degree, is every triangle's last corner."""
+        nodes = [(i, i, i, 0, 1) for i in range(9)]
+        edges = [(i, (i + 1) % 8, "E") for i in range(8)] + [(8, i, "E") for i in range(8)]
+        g = DiffGraph(node_columns(nodes, 4), edges)
+        s = graph_stats(g)
+        assert s.clustering.tolist() == [2 / 3] * 8 + [2 / 7]
+        assert s.components == [list(range(9))] and s.hubs == list(range(8))
+        assert stats_by_id(s, g) == reference_stats(g)
+
 
 class TestPaths:
     def test_src_equals_dst(self):
@@ -1402,6 +1414,20 @@ class TestMemory:
         rows, peak = traced_peak(lambda: (g.dp, g.successors, g.predecessors))
         assert [len(x) for x in rows] == [150_748] * 3 and len(g.edges) == 303_376
         assert peak <= 6 * 2**20
+
+    def test_path_search_keeps_no_level_of_partial_paths(self):
+        """On a complete digraph of 30 nodes whose only exit is 0 -> 30, every
+        hop count up to 5 is walked; the stack holds the pending siblings along
+        one path, where a list of each level's partial paths held 3.39 MiB."""
+        nodes = [(i, i, i, 0, 1) for i in range(31)]
+        edges = [(u, v, "E") for u in range(30) for v in range(30) if u != v] + [(0, 30, "E")]
+        g = DiffGraph(node_columns(nodes, 8), edges)
+        g.successors, g.predecessors  # rows are built before the walk is traced
+        work = PathSearchWork()
+        paths, peak = traced_peak(lambda: find_optimal_paths(g, 0, 30, 5, 10, work))
+        assert paths == [PathResult((0, 30), 1.0)]
+        assert work.expansions == eager_search(g, 0, 30, 5, 10)[1] == 23_640
+        assert peak <= 2**20 // 4
 
     def test_graphml_holds_its_output_and_a_chunk(self):
         g = build_graph(make_hub_sample(20_000, 4), default_edge_rule())
