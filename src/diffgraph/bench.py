@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from .errors import ParameterError
-from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths
+from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths, rank_key
 from .pddt import node_columns
 
 
@@ -114,7 +114,7 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     dp, successors, max_depth = graph.dp, graph.successors, config.max_depth
     t0 = time.perf_counter()
     best: Optional[PathResult] = None
-    best_key = None  # best.rank_key
+    best_key = None  # the rank_key of best's positions, which rank as its ids do
     trace: List[Optional[PathResult]] = []
     walk_totals: List[float] = []
     steps = 0
@@ -123,17 +123,13 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
         path, total = _playout(successors, dp, start, choice, max_depth)
         steps += len(path) - 1
         walk_totals.append(total)
-        if target is not None:
-            if target not in path:
-                trace.append(best)
-                continue
-            path = path[: path.index(target) + 1]
+        if target is not None:  # a walk that misses the target has no candidate
+            path = path[: path.index(target) + 1] if target in path else []
         if len(path) > 1:
-            sequence = tuple(path)
             total = sum(map(dp.__getitem__, path))
-            key = (len(path) - 1, -total, sequence)
+            key = rank_key(path, total)
             if best is None or key < best_key:
-                best, best_key = graph.path_result(sequence, total), key
+                best, best_key = graph.path_result(path, total), key
         trace.append(best)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return SearchReport("mcs", config.seed, config.playouts, best, elapsed, steps,

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .pddt import (DEFAULT_MAX_ELEMENTS, DP_OF_HW, Dec, DifferentialColumns, Hex, Pddt, Lines,
-                   ascending, check_columns, decode_differential_csv, differential_csv,
-                   differential_lines, join_lines, read_columns, stable_order, typed)
+                   check_columns, decode_differential_csv, differential_csv, differential_lines,
+                   in_order, join_lines, read_columns, typed)
 
 # rule field name -> node column; weight is 2^-hw
 _NODE_COLUMNS = {"input_a": "a", "input_b": "b", "output": "c", "weight": "hw", "hw": "hw"}
@@ -161,10 +161,7 @@ def _sorted_edges(edges: Edges) -> Edges:
     in_use = sorted({labels[k] for k in np.flatnonzero(np.bincount(codes, minlength=len(labels)))})
     if list(labels) != in_use:
         codes = np.array([bisect_left(in_use, label) for label in labels], dtype=np.intp)[codes]
-    if not ascending(src, dst, codes):
-        order = stable_order(src, dst, codes)
-        src, dst, codes = src[order], dst[order], codes[order]
-    return Edges(src, dst, codes, tuple(in_use))
+    return Edges(*in_order([src, dst, codes], 3), tuple(in_use))
 
 
 def _positions(ids: np.ndarray, x):
@@ -296,8 +293,8 @@ class DiffGraph:
         source, predecessors by target after one stable sort, so sources ascend in each."""
         first = _distinct(*self._ends)
         src, dst = (ends[first] for ends in self._ends)
-        by_dst = stable_order(dst)
-        return _group(successors, src, dst, list), _group(predecessors, dst[by_dst], src[by_dst], list)
+        return (_group(successors, src, dst, list),
+                _group(predecessors, *in_order([dst, src], 1), list))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
@@ -413,9 +410,8 @@ def _neighbour_sets(n: int, src: np.ndarray, dst: np.ndarray) -> list:
     skipped; positions without a neighbour share (). The sorted end arrays
     are freed on return, before the sets are walked."""
     keep = src != dst
-    ends, others = np.r_[src[keep], dst[keep]], np.r_[dst[keep], src[keep]]
-    by_end = stable_order(ends)
-    return _group([()] * n, ends[by_end], others[by_end], set)
+    return _group([()] * n, *in_order([np.r_[src[keep], dst[keep]],
+                                       np.r_[dst[keep], src[keep]]], 1), set)
 
 
 def _biclique_shape(ids: np.ndarray, biclique: _Biclique) -> Tuple[List[List[int]], np.ndarray]:
@@ -466,7 +462,12 @@ class PathResult:
 
     @property
     def rank_key(self):
-        return (self.hops, -self.total_dp, self.node_sequence)
+        return rank_key(self.node_sequence, self.total_dp)
+
+
+def rank_key(path: Sequence[int], total: float) -> tuple:
+    """PathResult.rank_key of a path and its total; positions rank as their ids do."""
+    return (len(path) - 1, -total, tuple(path))
 
 
 @dataclass
@@ -552,7 +553,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
                              if dist.get(v, left) < left and v != dst and v not in path)
             elif links_to_dst(path[-1]):
                 layer.append((path + (dst,), total + dp[dst]))
-        results.extend(sorted(layer, key=lambda p: (-p[1], p[0])))  # rank_key; hops are equal
+        results.extend(sorted(layer, key=lambda p: rank_key(*p)))
         if len(results) >= limit:
             break
     if work is not None:
@@ -612,7 +613,8 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     identifier label. A malformed line raises ValueError naming its
     1-based line number.
     """
-    return DiffGraph(decode_differential_csv(nodes_csv), _read_edges(edges_csv))
+    *nodes, word_size = decode_differential_csv(nodes_csv)  # sorted before the edges are read
+    return DiffGraph(DifferentialColumns(*in_order(nodes, 1), word_size), _read_edges(edges_csv))
 
 
 # A text export is (head, node line, edge line, tail); head and tail are

@@ -108,10 +108,7 @@ class Pddt:
 
     def __init__(self, word_size: int, a, b, c, hw):
         self.word_size = word_size
-        cols = check_columns((a, b, c, hw), word_size)
-        if not ascending(*cols[:3]):
-            _gather(cols, stable_order(*cols[:3]))
-        self.a, self.b, self.c, self.hw = cols
+        self.a, self.b, self.c, self.hw = in_order(check_columns((a, b, c, hw), word_size), 3)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -135,14 +132,12 @@ class Pddt:
 
     @classmethod
     def from_csv(cls, data: bytes) -> "Pddt":
-        """Parse the canonical CSV (see `decode_differential_csv`).
-
-        The word size is recovered from the hex field width.  The
-        constructor puts the rows in (a, b, c) order.
-        """
-        ids, a, b, c, hw, word_size = decode_differential_csv(data)
-        del ids  # freed before the constructor sorts
-        return cls(word_size, a, b, c, hw)
+        """Parse the canonical CSV (see `decode_differential_csv`). The word
+        size is recovered from the hex field width, and the rows are put in
+        (a, b, c) order on the reader's own, only copy of the columns."""
+        *columns, word_size = decode_differential_csv(data)
+        del columns[0]
+        return cls(word_size, *in_order(columns, 3))
 
 
 # --- line codec --------------------------------------------------------
@@ -235,9 +230,7 @@ def check_columns(columns, word_size: int) -> list:
     if top >> word_size:
         raise ParameterError(f"value {top:#x} does not fit in {word_size} bits")
     if len(columns) == 5:
-        if not ascending(columns[0]):
-            _gather(columns, stable_order(columns[0]))
-        ids = columns[0]
+        ids = in_order(columns, 1)[0]
         if (ids[1:] == ids[:-1]).any():
             raise ParameterError("duplicate node ids")
         if len(ids) and ids[0] < 0:
@@ -856,6 +849,14 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
 
 # rows of packed words filled at a time, so that no other column is made
 _KEY_BLOCK = 1 << 16
+
+
+def in_order(columns: list, keys: int) -> list:
+    """The list, each column replaced by its sorted copy in turn unless the rows of the
+    first `keys` ascend; a list that alone holds its columns frees each old one."""
+    if not ascending(*columns[:keys]):
+        _gather(columns, stable_order(*columns[:keys]))
+    return columns
 
 
 def stable_order(*keys) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import tracemalloc
 
 import numpy as np
@@ -131,3 +132,10 @@ def traced_peak(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def shuffled_lines(data: bytes, seed: int) -> bytes:
+    """A CSV file with its header line first and its data lines in a seeded random order."""
+    head, *lines = data.splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    return head + b"".join(lines)

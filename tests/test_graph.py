@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
-                      node_rows, over_edge_limit_sample, rows_by_id, stats_by_id, traced_peak)
+                      node_rows, over_edge_limit_sample, rows_by_id, shuffled_lines, stats_by_id,
+                      traced_peak)
 from diffgraph.bench import McsConfig, compare, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
@@ -659,6 +660,23 @@ class TestNodeOrder:
                         == find_optimal_paths(g, src, dst, 3, 5))
                 assert (settled(compare(h, src, dst, config))
                         == settled(compare(g, src, dst, config)))
+
+    def test_given_arrays_are_left_as_they_were(self):
+        """Rows given out of order are sorted into new columns: arrays already
+        of their dtype are taken uncopied, but never sorted where they lie."""
+        a = np.array([3, 1, 2], dtype=np.uint64)
+        hw = np.array([1, 2, 3], dtype=np.uint8)
+        ids = np.array([10, 3, 7], dtype=np.int64)
+        src, dst, codes = np.array([10, 3, 3]), np.array([7, 10, 7]), np.array([1, 0, 0])
+        given = [a, hw, ids, src, dst, codes]
+        before = [x.copy() for x in given]
+        table = Pddt(4, a, a, a, hw)
+        g = DiffGraph(DifferentialColumns(ids, a, a, a, hw, 4), Edges(src, dst, codes, ("E", "F")))
+        assert table.a.tolist() == [1, 2, 3] and table.hw.tolist() == [2, 3, 1]
+        assert g.columns.ids.tolist() == [3, 7, 10] and g.columns.a.tolist() == [1, 2, 3]
+        assert edge_rows(g) == [(3, 7, "E"), (3, 10, "E"), (10, 7, "F")]
+        for x, was in zip(given, before):
+            assert x.tolist() == was.tolist()
 
     def test_rows_are_lists_by_position(self):
         # ids 3 < 7 < 10 are positions 0, 1, 2
@@ -1396,6 +1414,19 @@ class TestMemory:
         back, peak = traced_peak(lambda: from_csv(nodes, edges))
         assert back == g
         assert peak < 8 * 2**20
+
+    def test_shuffled_nodes_are_sorted_before_the_edges_are_read(self):
+        """Nodes read out of id order are sorted on the reader's own columns
+        before the edges file is read, so the full n=12 rule graph costs no
+        more than its files in id order; sorting beside the edges cost 1.12x."""
+        g = build_graph(build_pddt(PddtConfig(12, 0.1)), default_edge_rule())
+        nodes, edges = to_nodes_csv(g), to_edges_csv(g)
+        shuffled = shuffled_lines(nodes, 3)
+        assert shuffled != nodes
+        in_id_order, id_order_peak = traced_peak(lambda: from_csv(nodes, edges))
+        back, peak = traced_peak(lambda: from_csv(shuffled, edges))
+        assert back == in_id_order == g
+        assert peak <= 1.05 * id_order_peak
 
     def test_long_label_is_copied_once(self):
         """One long label among short ones costs its own bytes, not a copy
