@@ -9,10 +9,12 @@ and the config, and is the same in every process.
 from __future__ import annotations
 
 import random
+import struct
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from itertools import chain, islice
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths, rank_key
@@ -63,41 +65,74 @@ class SearchReport:
         return "method,seed,playouts,best_hops,best_total_dp,expansions,elapsed_ms"
 
 
-def _playout(successors: List[List[int]], dp: List[float], start: int,
-             choice: Callable[[range], int], max_depth: int) -> Tuple[List[int], float]:
-    """One random walk of node positions over unvisited successors, capped at max_depth hops.
+_BLOCK = 1024  # generator words fetched by one getrandbits call
+
+
+def _words(rng: random.Random) -> Iterator[int]:
+    """The 32-bit outputs of rng's Mersenne Twister, in the order it makes them.
+
+    `rng.getrandbits(32 * m)` packs the next m outputs, the first lowest. A
+    draw below n, `next(words) >> (32 - n.bit_length())` repeated until it
+    is below n, is the draw `rng.choice` makes from a list of n < 2^32 entries.
+    """
+    unpack, size = struct.Struct(f"<{_BLOCK}I").unpack, 4 * _BLOCK
+    blocks = iter(lambda: rng.getrandbits(8 * size).to_bytes(size, "little"), None)
+    return chain.from_iterable(map(unpack, blocks))
+
+
+def _walks(successors: List[List[int]], dp: List[float], start: int, words: Iterator[int],
+           max_depth: int) -> Iterator[Tuple[List[int], float]]:
+    """Endless random walks of node positions over unvisited successors,
+    each of 1 to max_depth hops, or none when start has no unvisited successor.
 
     Each step draws the k-th unvisited entry of the current node's sorted
-    row, k uniform, and skips the visited entries, found by bisection.
-    Drawing k with `choice(range(n))`, a Random's bound `choice`, consumes
-    the RNG exactly as choosing from the list of the n unvisited entries
-    would.
+    row, k uniform below their count n as `_words` describes, and skips the
+    visited entries, found by bisection: the draw a Random's `choice` makes
+    from the list of the n unvisited entries. Start's row, its own entry
+    there and the first hop's count are worked out once.
     """
-    path = [start]
-    total = dp[start]
-    u = start
-    while len(path) <= max_depth:
-        row = successors[u]
-        if not row:
-            break
-        n = len(row)
-        taken = []
-        for w in path:
-            i = bisect_left(row, w)
-            if i < n and row[i] == w:
-                taken.append(i)
-        if n == len(taken):
-            break
-        k = choice(range(n - len(taken)))
-        if taken:
-            for i in sorted(taken):
-                if i > k:
-                    break
-                k += 1
-        u = row[k]
-        path.append(u)
-        total += dp[u]
-    return path, total
+    draw = words.__next__
+    first = successors[start]
+    loop = bisect_left(first, start)  # start's own entry, or the row's end
+    if loop < len(first) and first[loop] != start:
+        loop = len(first)
+    width = len(first) - (loop < len(first))  # unvisited entries at the first hop
+    while not width:  # a walk that goes nowhere draws nothing
+        yield [start], dp[start]
+    first_shift = 32 - width.bit_length()
+    while True:
+        k = draw() >> first_shift
+        while k >= width:
+            k = draw() >> first_shift
+        u = first[k + (k >= loop)]
+        path = [start, u]
+        total = dp[start] + dp[u]
+        while len(path) <= max_depth:
+            row = successors[u]
+            if not row:
+                break
+            n = len(row)
+            taken = []
+            for w in path:
+                i = bisect_left(row, w)
+                if i < n and row[i] == w:
+                    taken.append(i)
+            n -= len(taken)
+            if not n:
+                break
+            shift = 32 - n.bit_length()
+            k = draw() >> shift
+            while k >= n:
+                k = draw() >> shift
+            if taken:
+                for i in sorted(taken):
+                    if i > k:
+                        break
+                    k += 1
+            u = row[k]
+            path.append(u)
+            total += dp[u]
+        yield path, total
 
 
 def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
@@ -118,9 +153,8 @@ def mcs_search(graph: DiffGraph, start: int, config: McsConfig) -> SearchReport:
     trace: List[Optional[PathResult]] = []
     walk_totals: List[float] = []
     steps = 0
-    choice = random.Random(f"mcs:{config.seed}").choice
-    for _ in range(config.playouts):
-        path, total = _playout(successors, dp, start, choice, max_depth)
+    words = _words(random.Random(f"mcs:{config.seed}"))
+    for path, total in islice(_walks(successors, dp, start, words, max_depth), config.playouts):
         steps += len(path) - 1
         walk_totals.append(total)
         if target is not None:  # a walk that misses the target has no candidate

@@ -500,11 +500,16 @@ class Fields:
         if len(maybe):
             text = np.lib.stride_tricks.sliding_window_view(buf, len(header))[starts[maybe]]
             self.data_lines[maybe[(text == np.frombuffer(header, np.uint8)).all(axis=1)]] = False
-        if not self.data_lines.all():
+        is_comma = buf == _COMMA
+        if not self.data_lines.all():  # the commas of the skipped lines are no field's
+            skipped = ~self.data_lines
+            size = ends[skipped] - starts[skipped]
+            at = np.repeat(starts[skipped] - (np.cumsum(size) - size), size)
+            is_comma[at + np.arange(len(at))] = False
             starts, ends = starts[self.data_lines], ends[self.data_lines]
         self.lines_before = lines_before
 
-        commas = np.flatnonzero(buf == _COMMA).astype(offset)
+        commas = np.flatnonzero(is_comma).astype(offset)
         self.errors = []
         # each line's n - 1 commas, when the file has no others: the lines'
         # commas are in order, so when each row of the grid starts and ends

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,50 @@ class TestMcs:
             assert got == reference_mcs(hub_graph, start, cfg)
 
 
+class TestWords:
+    @pytest.mark.parametrize("seed", ["mcs:0", "mcs:5"])
+    def test_draws_equal_random_choice(self, seed):
+        picker = random.Random(f"{seed}:sizes")
+        sizes = [1, 2, 3, 255, 256, 257, 2 ** 31, 2 ** 32 - 1] * 100
+        sizes += [picker.randrange(1, 2 ** picker.randint(1, 32)) for _ in range(2000)]
+        rng, words = random.Random(seed), bench._words(random.Random(seed))
+        used = 0
+        for n in sizes:
+            shift = 32 - n.bit_length()
+            k, used = next(words) >> shift, used + 1
+            while k >= n:
+                k, used = next(words) >> shift, used + 1
+            assert k == rng.choice(range(n))
+        assert used > 3 * bench._BLOCK
+
+
+class TestFirstHop:
+    @pytest.mark.parametrize("max_depth", [1, 4])
+    @pytest.mark.parametrize("target", [None, 5, 1])  # none, in T, outside T
+    def test_start_in_both_sides_of_a_biclique_with_loops(self, max_depth, target):
+        s_ids, t_ids = range(0, 4), range(2, 7)
+        nodes = [(i, i, i, 0, 1 + i % 3) for i in range(7)]
+        g = DiffGraph(node_columns(nodes, 8), [(u, v, "E") for u in s_ids for v in t_ids])
+        assert 2 in g.successors[g.position(2, "start")]  # start's own entry is in its row
+        cfg = McsConfig(200, 9, max_depth, target_node=target)
+        report = mcs_search(g, 2, cfg)
+        got = (report.best_path, report.trace, report.walk_totals)
+        assert got == reference_mcs(g, 2, cfg)
+
+    @pytest.mark.parametrize("max_depth", [1, 4])
+    @pytest.mark.parametrize("target", [None, 0, 2])
+    def test_start_whose_only_successor_is_itself(self, max_depth, target):
+        nodes = [(i, i, i, 0, i + 1) for i in range(3)]
+        g = DiffGraph(node_columns(nodes, 8), [(0, 0, "E"), (1, 2, "E"), (2, 1, "E")])
+        cfg = McsConfig(50, 3, max_depth, target_node=target)
+        report = mcs_search(g, 0, cfg)
+        assert (report.best_path, report.expansions) == (None, 0)
+        assert (report.best_path, report.trace, report.walk_totals) == reference_mcs(g, 0, cfg)
+        at = g.position(0, "start")
+        walks = bench._walks(g.successors, g.dp, at, iter(()), max_depth)  # no word to draw
+        assert list(islice(walks, 50)) == [([at], g.dp[at])] * 50
+
+
 class TestSeeding:
     @pytest.mark.parametrize("playouts", [1, 10, 1000])
     def test_one_rng_per_search(self, monkeypatch, playouts):
@@ -234,11 +279,12 @@ class TestHitRate:
         start = data.draw(st.sampled_from(ids))
         target = data.draw(st.sampled_from([i for i in ids if i != start]))
         p = exact_hit_probability(g, start, target, max_depth)
-        choice, n = random.Random(seed).choice, 4000
+        n = 4000
         # a playout walks node positions
         at, to = g.position(start, "start"), g.position(target, "target")
-        hits = sum(to in bench._playout(g.successors, g.dp, at, choice, max_depth)[0][1:]
-                   for _ in range(n))
+        words = bench._words(random.Random(seed))
+        walks = bench._walks(g.successors, g.dp, at, words, max_depth)
+        hits = sum(to in path[1:] for path, _total in islice(walks, n))
         assert abs(hits / n - p) <= 5 * math.sqrt(p * (1 - p) / n) + 1 / n
 
     @pytest.mark.parametrize("n_s,n_t", [(1, 1), (2, 3), (3, 5), (4, 2)])

@@ -695,6 +695,28 @@ class TestCodec:
         back = Pddt.from_csv(data[:data.rindex(b"\r\n")])  # no final newline
         assert back.to_csv() == expected[:expected.rindex(b"\n", 0, -1) + 1]
 
+    def test_skipped_lines_leave_the_comma_grid(self, monkeypatch):
+        # the commas of a header and a comment are no data line's
+        body = build_pddt(PddtConfig(6, 0.1)).to_csv().split(b"\n", 1)[1]
+        prefix = b"id,a,b,c,dp,hw\r\n# n=6, t=0.1\n\n"
+        data = prefix + body
+        searches = []
+        searchsorted = np.searchsorted
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        bare = pddt_module.Fields(body, 0, len(body), 0, b"id,", 6)
+        full = pddt_module.Fields(data, 0, len(data), 0, b"id,", 6)
+        assert searches == []
+        assert not full.errors and len(full.starts) == body.count(b"\n")
+        for got, want in ((full.starts, bare.starts), (full.ends, bare.ends),
+                          (full.commas, bare.commas)):
+            assert (got - len(prefix)).tolist() == want.tolist()
+        assert (full.line_no(0), full.line_no(len(full.starts) - 1)) == (4, len(data.splitlines()))
+
     def test_row_numbers_from_past_zero(self):
         # ids 5..204: the slot's width and the digit counts come from the range's ends
         ids = range(5, 205)
