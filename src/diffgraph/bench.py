@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,8 @@ class McsConfig:
     def __post_init__(self):
         if self.playouts < 1:
             raise ParameterError(f"playouts {self.playouts} < 1")
+        if self.playouts > sys.maxsize:  # the most that islice takes
+            raise ParameterError(f"playouts {self.playouts} > {sys.maxsize}")
         if self.max_depth < 1:
             raise ParameterError(f"max_depth {self.max_depth} < 1")
 

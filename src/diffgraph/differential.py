@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .simon import rotl
+from .simon import _check_word, rotl
 
 SHIFT_LOGICAL = "logical"
 SHIFT_CIRCULAR = "circular"
@@ -34,18 +34,19 @@ def _shl(x: int, n: int, shift: str) -> int:
 
 def eq_mask(p: int, q: int, r: int, n: int) -> int:
     """Bit i of the result is 1 exactly where p, q and r agree at bit i."""
-    mask = (1 << n) - 1
     for x, name in ((p, "p"), (q, "q"), (r, "r")):
-        if not 0 <= x <= mask:
-            raise ParameterError(f"{name} {x:#x} does not fit in {n} bits")
-    return ~(p ^ q) & ~(p ^ r) & mask
+        _check_word(x, n, name)
+    return ~(p ^ q) & ~(p ^ r) & ((1 << n) - 1)
 
 
 def is_valid_differential(a: int, b: int, c: int, n: int, shift: str = SHIFT_LOGICAL) -> bool:
-    """True iff the differential (a, b -> c) has nonzero probability."""
-    mask = (1 << n) - 1
+    """True iff the differential (a, b -> c) of n-bit words has nonzero probability."""
+    if n < 1:
+        raise ParameterError(f"word size {n} below 1")
+    for x, name in ((a, "a"), (b, "b"), (c, "c")):
+        _check_word(x, n, name)
     e = eq_mask(_shl(a, n, shift), _shl(b, n, shift), _shl(c, n, shift), n)
-    return e & (a ^ b ^ c ^ _shl(b, n, shift)) & mask == 0
+    return e & (a ^ b ^ c ^ _shl(b, n, shift)) == 0
 
 
 def differential_weight(a: int, b: int, c: int, n: int, shift: str = SHIFT_LOGICAL) -> int:
@@ -85,8 +86,7 @@ def brute_force_dp(a: int, b: int, c: int, n: int) -> float:
         raise ParameterError(f"oracle cost 2^{2 * n} refused; word size limit is {ORACLE_MAX_BITS}")
     mask = (1 << n) - 1
     for d, name in ((a, "a"), (b, "b"), (c, "c")):
-        if not 0 <= d <= mask:
-            raise ParameterError(f"{name} {d:#x} does not fit in {n} bits")
+        _check_word(d, n, name)
     x = np.arange(1 << n, dtype=np.uint32)[:, None]
     y = np.arange(1 << n, dtype=np.uint32)[None, :]
     out = (((x ^ a) + (y ^ b)) ^ (x + y)) & mask

@@ -146,22 +146,21 @@ class Edges:
                             (other.src, other.dst, other.codes))))
 
 
-def _sorted_edges(edges: Edges) -> Edges:
-    """The edges typed, in edge order under the labels in use, each label
-    checked; the codes are re-ranked only when the labels are not in order."""
-    src, dst, codes = (typed(x, dtype, "edge columns")
-                       for x, dtype in zip((edges.src, edges.dst, edges.codes), EDGE_DTYPES))
-    labels = edges.labels
-    if not len(src) == len(dst) == len(codes):
-        raise ParameterError(f"edge columns of lengths {len(src)}, {len(dst)}, {len(codes)}")
-    if len(codes) and not 0 <= codes.min() <= codes.max() < len(labels):
+def _sorted_edges(columns: list, labels) -> Tuple[str, ...]:
+    """The labels in use, sorted, each label checked; the list [src, dst, codes] typed and put
+    in edge order under them in place, as by `in_order`, its codes re-ranked if need be."""
+    columns[:] = (typed(x, dtype, "edge columns") for x, dtype in zip(columns, EDGE_DTYPES))
+    if len({len(x) for x in columns}) > 1:
+        raise ParameterError("edge columns of lengths {}, {}, {}".format(*map(len, columns)))
+    if len(columns[2]) and not 0 <= columns[2].min() <= columns[2].max() < len(labels):
         raise ParameterError(f"edge label codes must index the {len(labels)} labels")
     for label in labels:
         _check_label(label)
-    in_use = sorted({labels[k] for k in np.flatnonzero(np.bincount(codes, minlength=len(labels)))})
+    in_use = sorted({labels[k] for k in np.flatnonzero(np.bincount(columns[2]))})
     if list(labels) != in_use:
-        codes = np.array([bisect_left(in_use, label) for label in labels], dtype=np.intp)[codes]
-    return Edges(*in_order([src, dst, codes], 3), tuple(in_use))
+        columns[2] = np.array([bisect_left(in_use, x) for x in labels], dtype=np.intp)[columns[2]]
+    in_order(columns, 3)
+    return tuple(in_use)
 
 
 def _positions(ids: np.ndarray, x):
@@ -218,9 +217,12 @@ class DiffGraph:
                  edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
         self.columns = DifferentialColumns(*check_columns(columns[:5], columns.word_size),
                                            columns.word_size)
-        if not isinstance(edges, Edges):
-            edges = _edges_of_rows(edges, self.columns.ids)
-        self.edges = _sorted_edges(edges)
+        if isinstance(edges, Edges):
+            edge_columns, labels = [edges.src, edges.dst, edges.codes], edges.labels
+        else:
+            edge_columns, labels = _edges_of_rows(edges, self.columns.ids)
+        labels = _sorted_edges(edge_columns, labels)  # sorts the list; unpack it after
+        self.edges = Edges(*edge_columns, labels)
         src, dst = self.edges.src, self.edges.dst
         (src_at, src_in), (dst_at, dst_in) = (_positions(self.columns.ids, x) for x in (src, dst))
         dangling = ~(src_in & dst_in)
@@ -302,8 +304,8 @@ class DiffGraph:
                 and all(map(np.array_equal, self.columns[:5], other.columns[:5])))
 
 
-def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edges:
-    """The Edges of (src, dst, label) rows, in row order, among nodes of the ids."""
+def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> tuple:
+    """[src, dst, codes] and the labels of (src, dst, label) rows on the ids, in row order."""
     rows = list(rows)
     try:
         src, dst = (np.array([row[k] for row in rows], dtype=EDGE_DTYPES[k]) for k in (0, 1))
@@ -313,7 +315,7 @@ def _edges_of_rows(rows: Iterable[Tuple[int, int, str]], ids: np.ndarray) -> Edg
         raise ParameterError(f"edge ({src}, {dst}) references a missing node") from None
     names: Dict[str, int] = {}  # label -> its code, in first-seen order
     codes = np.array([names.setdefault(row[2], len(names)) for row in rows], dtype=EDGE_DTYPES[2])
-    return Edges(src, dst, codes, tuple(names))
+    return [src, dst, codes], tuple(names)
 
 
 def build_graph(sample: Pddt, rule: EdgeRule) -> DiffGraph:
@@ -586,8 +588,8 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
     return join_lines([b"src_id,dst_id,label\n", _edge_lines(*_EDGES_ROW, graph.edges)])
 
 
-def _read_edges(data: bytes) -> Edges:
-    """The edges of an edges CSV, in file order."""
+def _read_edges(data: bytes) -> tuple:
+    """[src, dst, codes] and the labels of an edges CSV, in file order."""
     names: Dict[bytes, int] = {}  # label -> its code; a run's new labels follow the earlier runs'
 
     def parse(lines):
@@ -599,8 +601,8 @@ def _read_edges(data: bytes) -> Edges:
         codes = np.array([names.setdefault(label, len(names)) for label in found], dtype=np.intp)
         return parts[:2] + [codes[parts[2]]]
 
-    src, dst, codes = read_columns(data, b"src_id,", 3, EDGE_DTYPES, parse, merge)
-    return Edges(src, dst, codes, tuple(name.decode("ascii") for name in names))
+    columns = read_columns(data, b"src_id,", 3, EDGE_DTYPES, parse, merge)
+    return columns, tuple(name.decode("ascii") for name in names)
 
 
 def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
@@ -614,7 +616,10 @@ def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
     1-based line number.
     """
     *nodes, word_size = decode_differential_csv(nodes_csv)  # sorted before the edges are read
-    return DiffGraph(DifferentialColumns(*in_order(nodes, 1), word_size), _read_edges(edges_csv))
+    columns = DifferentialColumns(*in_order(nodes, 1), word_size)
+    edges, labels = _read_edges(edges_csv)
+    labels = _sorted_edges(edges, labels)  # the reader's own list: no file-order copy is kept
+    return DiffGraph(columns, Edges(*edges, labels))
 
 
 # A text export is (head, node line, edge line, tail); head and tail are

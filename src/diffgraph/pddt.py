@@ -736,8 +736,6 @@ def partial_dp(a: int, b: int, c: int, k: int) -> float:
         raise ParameterError(f"negative prefix length {k}")
     if k == 0:
         return 1.0
-    if not 0 <= a < (1 << k) or not 0 <= b < (1 << k) or not 0 <= c < (1 << k):
-        raise ParameterError(f"prefix ({a:#x},{b:#x},{c:#x}) does not fit in {k} bits")
     if not is_valid_differential(a, b, c, k):
         return 0.0
     return 2.0 ** -differential_weight(a, b, c, k)

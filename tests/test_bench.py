@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -178,6 +179,11 @@ class TestMcs:
             McsConfig(playouts=0)
         with pytest.raises(ParameterError):
             McsConfig(playouts=1, max_depth=0)
+
+    def test_playouts_up_to_maxsize(self):
+        assert McsConfig(playouts=sys.maxsize).playouts == sys.maxsize
+        with pytest.raises(ParameterError, match=f"^playouts {sys.maxsize + 1} > {sys.maxsize}$"):
+            McsConfig(playouts=sys.maxsize + 1)
 
     @settings(deadline=None)
     @given(any_digraphs(), st.data(), st.integers(1, 30), st.integers(0, 2 ** 31),

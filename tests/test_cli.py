@@ -376,6 +376,15 @@ class TestBenchCommands:
         assert captured.err == "error: target node 99999 not in graph\n"
         assert captured.out == ""
 
+    def test_mcs_playouts_beyond_maxsize_is_runtime_error(self, graph_files, tmp_path, capsys):
+        nodes, edges = graph_files
+        capsys.readouterr()
+        assert run(tmp_path, "bench", "mcs", "--nodes", nodes, "--edges", edges,
+                   "--src", 0, "--playouts", 10 ** 20) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: playouts {10 ** 20} > {sys.maxsize}\n"
+        assert captured.out == ""
+
 
 class TestGolden:
     """sha256 of every file and report of one n=8 chain, fixed when graph

@@ -116,7 +116,8 @@ class TestSameColumns:
         # the first runs name G alone; later runs name E and F, which a run
         # would code before G
         lines = ["0,1,G"] * 300 + ["1,0,F", "0,1,E", "1,1,G"] * 100
-        edges = _read_edges(("\n".join(lines) + "\n").encode())
+        columns, labels = _read_edges(("\n".join(lines) + "\n").encode())
+        edges = Edges(*columns, labels)
         assert edges.labels == ("G", "E", "F")
         assert [edges.labels[code] for code in edges.codes] == [line[-1] for line in lines]
 

@@ -80,6 +80,22 @@ class TestWeight:
                 assert 0 <= differential_weight(a, b, c, 4) <= 3
 
 
+@pytest.mark.parametrize("function", [is_valid_differential, differential_weight,
+                                      differential_probability])
+class TestWordChecks:
+    @pytest.mark.parametrize("words, fault", [((16, 0, 0), "a 0x10"), ((0, -1, 0), "b -0x1"),
+                                              ((0, 0, 16), "c 0x10")],
+                             ids=["a too wide", "negative b", "c too wide"])
+    def test_word_outside_n_bits_rejected(self, function, words, fault):
+        with pytest.raises(ParameterError, match=f"^{fault} does not fit in 4 bits$"):
+            function(*words, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_word_size_below_one_rejected(self, function, n):
+        with pytest.raises(ParameterError, match=f"^word size {n} below 1$"):
+            function(1, 1, 0, n)
+
+
 class TestOracle:
     def test_identity(self):
         assert brute_force_dp(0, 0, 0, 4) == 1.0

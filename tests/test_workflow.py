@@ -43,7 +43,8 @@ def test_run_blocks_are_read_by_indentation():
     assert run_blocks(text) == {"One": "a\n\n  b\n", "Three": "d\n"}
 
 
-@pytest.mark.parametrize("step", ["Installed console script", "README CLI example"])
+@pytest.mark.parametrize("step", ["Installed console script", "README CLI example",
+                                  "Full n=16 table as a graph"])
 def test_step_passes(step, tmp_path):
     script = run_blocks(WORKFLOW.read_text())[step]
     bin_dir = tmp_path / "bin"
