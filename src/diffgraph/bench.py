@@ -9,17 +9,16 @@ and the config, and is the same in every process.
 from __future__ import annotations
 
 import random
-import struct
 import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths, rank_key
-from .pddt import node_columns
+from .pddt import _BLOCK, _words, node_columns  # noqa: F401  (_BLOCK: words a block holds)
 
 
 class DominanceError(RuntimeError):
@@ -66,21 +65,6 @@ class SearchReport:
     @staticmethod
     def csv_header() -> str:
         return "method,seed,playouts,best_hops,best_total_dp,expansions,elapsed_ms"
-
-
-_BLOCK = 1024  # generator words fetched by one getrandbits call
-
-
-def _words(rng: random.Random) -> Iterator[int]:
-    """The 32-bit outputs of rng's Mersenne Twister, in the order it makes them.
-
-    `rng.getrandbits(32 * m)` packs the next m outputs, the first lowest. A
-    draw below n, `next(words) >> (32 - n.bit_length())` repeated until it
-    is below n, is the draw `rng.choice` makes from a list of n < 2^32 entries.
-    """
-    unpack, size = struct.Struct(f"<{_BLOCK}I").unpack, 4 * _BLOCK
-    blocks = iter(lambda: rng.getrandbits(8 * size).to_bytes(size, "little"), None)
-    return chain.from_iterable(map(unpack, blocks))
 
 
 def _walks(successors: List[List[int]], dp: List[float], start: int, words: Iterator[int],

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import mmap
+import os
 import sys
 from pathlib import Path
 
@@ -49,8 +51,17 @@ def _parse_predicate(text: str) -> graphmod.Predicate:
     raise ParameterError(f"cannot parse predicate {text!r}; expected FIELD<=|>=|=VALUE")
 
 
+def _read(path: str, reader):
+    """reader(a read-only map of the file at `path`); one of size 0, as a pipe, is read whole."""
+    with open(path, "rb") as file:
+        if os.fstat(file.fileno()).st_size == 0:  # no map of an empty file can be made
+            return reader(file.read())
+        with mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return reader(data)
+
+
 def _read_graph(nodes_path: str, edges_path: str) -> graphmod.DiffGraph:
-    return graphmod.from_csv(Path(nodes_path).read_bytes(), Path(edges_path).read_bytes())
+    return _read(nodes_path, lambda n: _read(edges_path, lambda e: graphmod.from_csv(n, e)))
 
 
 # --- subcommand bodies -------------------------------------------------
@@ -65,7 +76,7 @@ def _cmd_pddt_build(args) -> int:
 
 
 def _cmd_pddt_sample(args) -> int:
-    table = Pddt.from_csv(Path(args.input).read_bytes())
+    table = _read(args.input, Pddt.from_csv)
     sample = pddtmod.sample_pddt(table, SampleSpec(args.fraction, not args.no_quota, args.seed))
     with open(args.out, "wb") as out:
         quota = " quota=0" if args.no_quota else ""
@@ -76,7 +87,7 @@ def _cmd_pddt_sample(args) -> int:
 
 
 def _cmd_pddt_stats(args) -> int:
-    table = Pddt.from_csv(Path(args.input).read_bytes())
+    table = _read(args.input, Pddt.from_csv)
     stats = pddtmod.pddt_stats(table)
     print(f"entries: {stats.entries}")
     print(f"min_dp: {stats.min_dp}")
@@ -87,7 +98,7 @@ def _cmd_pddt_stats(args) -> int:
 
 
 def _cmd_graph_build(args) -> int:
-    table = Pddt.from_csv(Path(args.input).read_bytes())
+    table = _read(args.input, Pddt.from_csv)
     g = graphmod.build_graph(table, _parse_rule(args))
     Path(args.nodes_out).write_bytes(graphmod.to_nodes_csv(g))
     Path(args.edges_out).write_bytes(graphmod.to_edges_csv(g))

@@ -215,12 +215,16 @@ class DiffGraph:
 
     def __init__(self, columns: DifferentialColumns,
                  edges: Union[Edges, Iterable[Tuple[int, int, str]]]):
-        self.columns = DifferentialColumns(*check_columns(columns[:5], columns.word_size),
+        self.columns = DifferentialColumns(*check_columns(list(columns[:5]), columns.word_size),
                                            columns.word_size)
         if isinstance(edges, Edges):
             edge_columns, labels = [edges.src, edges.dst, edges.codes], edges.labels
         else:
             edge_columns, labels = _edges_of_rows(edges, self.columns.ids)
+        self._take_edges(edge_columns, labels)
+
+    def _take_edges(self, edge_columns: list, labels) -> None:
+        """Hold [src, dst, codes], put in edge order in place by `_sorted_edges`, and check it."""
         labels = _sorted_edges(edge_columns, labels)  # sorts the list; unpack it after
         self.edges = Edges(*edge_columns, labels)
         src, dst = self.edges.src, self.edges.dst
@@ -588,7 +592,7 @@ def to_edges_csv(graph: DiffGraph) -> bytes:
     return join_lines([b"src_id,dst_id,label\n", _edge_lines(*_EDGES_ROW, graph.edges)])
 
 
-def _read_edges(data: bytes) -> tuple:
+def _read_edges(data) -> tuple:
     """[src, dst, codes] and the labels of an edges CSV, in file order."""
     names: Dict[bytes, int] = {}  # label -> its code; a run's new labels follow the earlier runs'
 
@@ -605,21 +609,21 @@ def _read_edges(data: bytes) -> tuple:
     return columns, tuple(name.decode("ascii") for name in names)
 
 
-def from_csv(nodes_csv: bytes, edges_csv: bytes) -> DiffGraph:
-    """Rebuild a graph from its nodes+edges CSV export.
+def from_csv(nodes_csv, edges_csv) -> DiffGraph:
+    """Rebuild a graph from its nodes+edges CSV export, each bytes or an mmap.
 
-    Both files are read as bytes with one line rule: a line ends at '\\n'
+    Both files are read with one line rule: a line ends at '\\n'
     and one '\\r' before it is dropped; nothing else is stripped. Blank
     lines, '#' lines and header lines are skipped. An edges line is
     `src_id,dst_id,label`: two decimal ids of at most 18 digits and an
     identifier label. A malformed line raises ValueError naming its
     1-based line number.
     """
-    *nodes, word_size = decode_differential_csv(nodes_csv)  # sorted before the edges are read
-    columns = DifferentialColumns(*in_order(nodes, 1), word_size)
-    edges, labels = _read_edges(edges_csv)
-    labels = _sorted_edges(edges, labels)  # the reader's own list: no file-order copy is kept
-    return DiffGraph(columns, Edges(*edges, labels))
+    *nodes, word_size = decode_differential_csv(nodes_csv)
+    graph = DiffGraph.__new__(DiffGraph)  # each of the readers' own lists is checked once
+    graph.columns = DifferentialColumns(*check_columns(nodes, word_size), word_size)
+    graph._take_edges(*_read_edges(edges_csv))  # the nodes sorted first; no file-order copy
+    return graph
 
 
 # A text export is (head, node line, edge line, tail); head and tail are

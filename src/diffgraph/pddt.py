@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import os
 import random
+import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, List, NamedTuple, Optional
+from itertools import chain, product
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,8 +109,13 @@ class Pddt:
     """
 
     def __init__(self, word_size: int, a, b, c, hw):
+        self._take(word_size, [a, b, c, hw])
+
+    def _take(self, word_size: int, columns: list) -> "Pddt":
+        """The table of the list [a, b, c, hw], checked and put in (a, b, c) order in place."""
         self.word_size = word_size
-        self.a, self.b, self.c, self.hw = in_order(check_columns((a, b, c, hw), word_size), 3)
+        self.a, self.b, self.c, self.hw = in_order(check_columns(columns, word_size), 3)
+        return self
 
     def __len__(self) -> int:
         return len(self.a)
@@ -131,13 +138,13 @@ class Pddt:
         return join_lines(self._csv())
 
     @classmethod
-    def from_csv(cls, data: bytes) -> "Pddt":
-        """Parse the canonical CSV (see `decode_differential_csv`). The word
-        size is recovered from the hex field width, and the rows are put in
-        (a, b, c) order on the reader's own, only copy of the columns."""
+    def from_csv(cls, data) -> "Pddt":
+        """Parse the canonical CSV in bytes or an mmap (see `decode_differential_csv`). The
+        word size is recovered from the hex field width, and the rows are checked and put
+        in (a, b, c) order once, on the reader's own, only copy of the columns."""
         *columns, word_size = decode_differential_csv(data)
         del columns[0]
-        return cls(word_size, *in_order(columns, 3))
+        return cls.__new__(cls)._take(word_size, columns)
 
 
 # --- line codec --------------------------------------------------------
@@ -217,11 +224,12 @@ def typed(x, dtype, noun: str = "columns") -> np.ndarray:
     return x.astype(dtype, copy=False)
 
 
-def check_columns(columns, word_size: int) -> list:
-    """The columns, [ids,] a, b, c, hw, typed in COLUMN_DTYPES and, given ids, in id
-    order; ParameterError unless they have one length, the word size is in 1..64,
-    every a, b, c word fits in it and any ids are distinct and in 0..10^18 - 1."""
-    columns = list(map(typed, columns, COLUMN_DTYPES[-len(columns):]))
+def check_columns(columns: list, word_size: int) -> list:
+    """The list of columns, [ids,] a, b, c, hw, typed in COLUMN_DTYPES and, given ids, put
+    in id order, in place; ParameterError unless they have one length, the word size is in
+    1..64, every a, b, c word fits in it and any ids are distinct and in 0..10^18 - 1."""
+    for k, dtype in enumerate(COLUMN_DTYPES[-len(columns):]):  # each old column freed in turn
+        columns[k] = typed(columns[k], dtype)
     if len({len(x) for x in columns}) > 1:
         raise ParameterError(f"columns of lengths {[len(x) for x in columns]} differ")
     if not 1 <= word_size <= 64:
@@ -483,8 +491,7 @@ class Fields:
     earliest line's fault.
     """
 
-    def __init__(self, data: bytes, begin: int, end: int, lines_before: int, header: bytes,
-                 n: int):
+    def __init__(self, data, begin: int, end: int, lines_before: int, header: bytes, n: int):
         buf = np.frombuffer(data, np.uint8, end - begin, begin)
         offset = np.int32 if len(buf) < 2**31 else np.int64
         newlines = np.flatnonzero(buf == _NEWLINE).astype(offset)
@@ -563,7 +570,8 @@ class Fields:
         length = end - start
         bad = length == 0
         codes = np.zeros(len(length), dtype=np.intp)
-        sizes = np.unique(length[~bad]).tolist()
+        lengths = np.sort(length[~bad])  # np.unique of a plain array would import numpy.ma
+        sizes = lengths[np.diff(lengths, prepend=0) != 0].tolist()
         for size in sizes:
             at = np.flatnonzero(length == size) if len(sizes) > 1 or bad.any() else slice(None)
             text = np.lib.stride_tricks.sliding_window_view(self.buf, size)[start[at]]
@@ -585,8 +593,8 @@ class Fields:
         return min(self.errors)[1] if self.errors else None
 
 
-def read_columns(data: bytes, header: bytes, n: int, dtypes, parse, merge) -> list:
-    """Columns of the given dtypes, filled from the data lines of `data`.
+def read_columns(data, header: bytes, n: int, dtypes, parse, merge) -> list:
+    """Columns of the given dtypes, filled from the data lines of `data`, bytes or an mmap.
 
     The data is cut into runs of whole lines, each about a thread's share
     of _READ_CHUNK_BYTES, which are split and parsed on the threads that
@@ -631,8 +639,8 @@ def read_columns(data: bytes, header: bytes, n: int, dtypes, parse, merge) -> li
     return [column[:rows] for column in columns]
 
 
-def decode_differential_csv(data: bytes) -> DifferentialColumns:
-    """Parse `id,a,b,c,dp,hw` rows.
+def decode_differential_csv(data) -> DifferentialColumns:
+    """Parse `id,a,b,c,dp,hw` rows of bytes or an mmap.
 
     Blank lines, lines starting with '#' and header lines starting with
     'id,' are skipped; a CR before the newline is ignored.  A data line
@@ -771,7 +779,7 @@ def _expand_level(frontier, bit: int, max_weight: int, max_elements: int):
         pa, pb, pc, pw = parents[x ^ y ^ z]
         rows = slice(lo, lo + len(pa))
         for col, parent, value in zip(level, (pa, pb, pc), (x, y, z)):
-            np.bitwise_or(parent, np.uint64(value << bit), out=col[rows])
+            np.bitwise_or(parent, col.dtype.type(value << bit), out=col[rows])
         level[3][rows] = pw
         level[4][rows] = x if x == y == z else _NEQ
         lo = rows.stop
@@ -790,12 +798,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     """Build the full PDDT for the configured word size and threshold.
 
-    The frontier starts as the empty prefix, all-equal at 0 and weightless,
-    and grows one level per bit position; the last level is the table.
+    The frontier starts as the empty prefix, all-equal at 0 and weightless, and grows one
+    level per bit position in the narrowest word type; the last level, widened, is the table.
     The build runs on the calling thread; `workers` is accepted and
     ignored, kept only for the benchmark harness, which passes it.
     """
-    zero = np.zeros(1, dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.min_scalar_type((1 << config.word_size) - 1))
     level = [zero, zero, zero, np.zeros(1, dtype=np.uint16), np.full(1, _EQ0, dtype=np.uint8)]
     for bit in range(config.word_size):
         level = _expand_level(level, bit, config.max_weight, config.max_elements)
@@ -805,7 +813,7 @@ def build_pddt(config: PddtConfig, workers: Optional[int] = None) -> Pddt:
     # rows come in bit-interleaved order from the top bit, ascending in c
     # among equal (a, b)
     _gather(level, stable_order(level[0], level[1]))
-    return Pddt(config.word_size, *level)
+    return Pddt.__new__(Pddt)._take(config.word_size, level)  # widened in place
 
 
 def _gather(cols: list, order: np.ndarray) -> None:
@@ -813,6 +821,41 @@ def _gather(cols: list, order: np.ndarray) -> None:
     only one column's old copy is alive beside the others."""
     for k, col in enumerate(cols):
         cols[k] = col[order]
+
+
+_BLOCK = 1024  # generator words fetched by one getrandbits call
+
+
+def _words(rng: random.Random) -> Iterator[int]:
+    """The 32-bit outputs of rng's Mersenne Twister in order; `rng.getrandbits(32 * m)` packs
+    the next m, the first lowest. A draw below n, `next(words) >> (32 - n.bit_length())` until
+    it is below n, is the draw `rng.choice` makes from a list of n < 2^32 entries."""
+    unpack, size = struct.Struct(f"<{_BLOCK}I").unpack, 4 * _BLOCK
+    blocks = iter(lambda: rng.getrandbits(8 * size).to_bytes(size, "little"), None)
+    return chain.from_iterable(map(unpack, blocks))
+
+
+def _sample_positions(sizes, takes, words: Iterator[int]) -> List[int]:
+    """The k of range(n) that `Random.sample` picks for each size n < 2^32 and take k in turn,
+    in an order of their own, drawn from its generator's `words` as CPython draws them."""
+    draw, picks = words.__next__, []
+    for n, k in zip(sizes, takes):
+        if n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0):  # list beats set
+            pool = list(range(n))
+            for m in range(n, n - k, -1):  # a draw below m takes its entry; the last fills it
+                j, shift = m, 32 - m.bit_length()
+                while j >= m:
+                    j = draw() >> shift
+                picks.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:  # distinct draws below n: a repeat is drawn again, as one out of range is
+            shift, selected = 32 - n.bit_length(), set()
+            while len(selected) < k:
+                j = draw() >> shift
+                if j < n:
+                    selected.add(j)
+            picks.extend(selected)
+    return picks
 
 
 def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
@@ -841,12 +884,10 @@ def sample_pddt(pddt: Pddt, spec: SampleSpec) -> Pddt:
     takes = takes.astype(np.int64)
     if not takes.any():
         raise ParameterError(f"sample fraction {spec.fraction} keeps none of {len(pddt)} rows")
-    # random.sample reads only the population's length and indices, so
-    # sampling positions draws exactly what sampling the rows would
-    picks: List[int] = []
-    for size, take in zip(sizes.tolist(), takes.tolist()):
-        picks.extend(rng.sample(range(size), take))
-    idx = np.sort(order[np.repeat(starts, takes) + np.array(picks, dtype=np.int64)])
+    picks = _sample_positions(sizes.tolist(), takes.tolist(), _words(rng))
+    keep = np.zeros(len(pddt), dtype=bool)  # rows kept in table order: a class's set counts
+    keep[order[np.repeat(starts, takes) + np.array(picks, dtype=np.int64)]] = True
+    idx = np.flatnonzero(keep)
     return Pddt(pddt.word_size, pddt.a[idx], pddt.b[idx], pddt.c[idx], pddt.hw[idx])
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
 
@@ -435,3 +436,127 @@ class TestGolden:
         got.update((name, hashlib.sha256(text.encode()).hexdigest())
                    for name, text in reports.items())
         assert got == self.EXPECTED
+
+
+NODES_TWO = "id,input_a,input_b,output,weight,hw\n0,0x1,0x1,0x0,0.5,1\n1,0x3,0x3,0x0,0.25,2\n"
+# a valid table line of three 16-digit words, so that a file past the
+# codec's pool size takes few rows
+WIDE_LINE = b"0,0x0123456789abcdef,0x0123456789abcdef,0x0123456789abcdef,0.5,1\n"
+BAD_ID = "field 1 must be a decimal id of at most 18 digits, got 'x'"
+
+
+class TestMappedInputs:
+    """Input files are read through a read-only map, an empty one as no
+    bytes; the exit code, the message and the absent output are those of a
+    read into bytes, also for a file that the codec reads on a thread pool."""
+
+    @staticmethod
+    def commands(tmp_path, table):
+        """Every command that reads a table, with its output files."""
+        nodes, edges, out = tmp_path / "n.csv", tmp_path / "e.csv", tmp_path / "s.csv"
+        return [(["pddt", "sample", "--input", table, "--out", out], [out]),
+                (["pddt", "stats", "--input", table], []),
+                (["graph", "build", "--input", table, "--nodes-out", nodes, "--edges-out", edges],
+                 [nodes, edges])]
+
+    @pytest.fixture(scope="class")
+    def large_malformed_table(self, tmp_path_factory):
+        from diffgraph.pddt import _POOL_BYTES
+        lines = _POOL_BYTES // len(WIDE_LINE) + 1000
+        path = tmp_path_factory.mktemp("large") / "t.csv"
+        with open(path, "wb") as out:
+            out.write(b"id,a,b,c,dp,hw\n" + WIDE_LINE * (lines // 2) + b"x" + WIDE_LINE[1:]
+                      + WIDE_LINE * (lines - lines // 2))
+        assert path.stat().st_size >= _POOL_BYTES
+        return path, lines // 2 + 2
+
+    @pytest.mark.parametrize("command", range(3))
+    def test_malformed_line_of_a_large_file(self, tmp_path, capsys, large_malformed_table,
+                                            command):
+        path, line = large_malformed_table
+        argv, outputs = self.commands(tmp_path, path)[command]
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr() == ("", f"error: line {line}: {BAD_ID}\n")
+        assert not any(p.exists() for p in outputs)
+
+    @pytest.mark.parametrize("command", range(3))
+    def test_malformed_line_of_a_small_file(self, tmp_path, capsys, command):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,a,b,c,dp,hw\n" + WIDE_LINE + b"x" + WIDE_LINE[1:])
+        argv, outputs = self.commands(tmp_path, path)[command]
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr() == ("", f"error: line 3: {BAD_ID}\n")
+        assert not any(p.exists() for p in outputs)
+
+    def test_malformed_nodes_of_a_graph(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text(NODES_TWO + "x,0x1,0x1,0x0,0.5,1\n")
+        edges.write_text("src_id,dst_id,label\n0,1,E\n")
+        assert run(tmp_path, "graph", "stats", "--nodes", nodes, "--edges", edges) == 1
+        assert capsys.readouterr() == ("", f"error: line 4: {BAD_ID}\n")
+
+    @pytest.mark.parametrize("command,outcome", [
+        (0, (1, "", "error: cannot sample an empty PDDT\n")),
+        (1, (0, "entries: 0\nmin_dp: None\nmax_dp: None\n", "")),
+        (2, (1, "", "error: cannot build a graph from an empty sample\n"))])
+    def test_empty_file(self, tmp_path, capsys, command, outcome):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"")
+        argv, outputs = self.commands(tmp_path, path)[command]
+        assert (run(tmp_path, *argv), *capsys.readouterr()) == outcome
+        assert not any(p.exists() for p in outputs)
+
+    def test_empty_graph_files(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_bytes(b"")
+        edges.write_bytes(b"")
+        assert run(tmp_path, "graph", "stats", "--nodes", nodes, "--edges", edges) == 0
+        assert capsys.readouterr() == ("nodes: 0\nedges: 0\nhubs: \ncomponents: 0\n", "")
+
+    @pytest.mark.parametrize("command", range(3))
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "missing.csv"
+        argv, outputs = self.commands(tmp_path, path)[command]
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
+                                           f"'{path}'\n")
+        assert not any(p.exists() for p in outputs)
+
+    def test_missing_edges_file(self, tmp_path, capsys):
+        nodes, edges = tmp_path / "n.csv", tmp_path / "missing.csv"
+        nodes.write_text(NODES_TWO)
+        assert run(tmp_path, "graph", "stats", "--nodes", nodes, "--edges", edges) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
+                                           f"'{edges}'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_table_from_a_pipe(self, tmp_path, capsys):
+        """A pipe reports size 0 and cannot be mapped; it is read whole."""
+        table = tmp_path / "t.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.1, "--out", table)
+        capsys.readouterr()
+        assert run(tmp_path, "pddt", "stats", "--input", table) == 0
+        piped = subprocess.run([sys.executable, "-m", "diffgraph.cli", "pddt", "stats",
+                                "--input", "/dev/stdin"], input=table.read_bytes(),
+                               capture_output=True, env=subprocess_env(), timeout=60)
+        assert (piped.returncode, piped.stdout.decode()) == (0, capsys.readouterr().out)
+
+
+def subprocess_env() -> dict:
+    """The environment with this interpreter's import path, so that a child
+    Python imports the package under test."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+
+
+def test_graph_command_imports_no_numpy_ma(tmp_path):
+    """Reading labels of several lengths loads no numpy.ma (about 10 ms and
+    1 MB in a fresh process), which np.unique of a plain array imports."""
+    nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+    nodes.write_text(NODES_TWO)
+    edges.write_text("src_id,dst_id,label\n0,1,E\n1,0,LONGER\n0,0,E\n")
+    code = ("import sys; from diffgraph.cli import main; "
+            f"code = main(['graph', 'stats', '--nodes', {str(nodes)!r}, '--edges', {str(edges)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=60)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr

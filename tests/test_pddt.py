@@ -144,6 +144,28 @@ class TestBuild:
         assert all(p < q for p, q in zip(rows, rows[1:]))
         assert pddt_stats(t).weight_histogram == automaton_histogram(n, 2)
 
+    @pytest.mark.parametrize("n,level_dtype", [(8, np.uint8), (9, np.uint16), (16, np.uint16),
+                                               (17, np.uint32), (32, np.uint32), (33, np.uint64)])
+    def test_levels_of_the_narrowest_word_type(self, monkeypatch, n, level_dtype):
+        """The builder's levels hold n-bit words in the narrowest unsigned
+        type; on either side of each width the table is the automaton's,
+        in uint64 columns."""
+        dtypes = []
+        gather = pddt_module._gather
+
+        def recording(cols, order):
+            dtypes.append([col.dtype for col in cols[:3]])
+            gather(cols, order)
+
+        monkeypatch.setattr(pddt_module, "_gather", recording)
+        t = build_pddt(PddtConfig(n, 0.25))
+        assert dtypes == [[np.dtype(level_dtype)] * 3]
+        assert [col.dtype for col in (t.a, t.b, t.c, t.hw)] == [np.uint64] * 3 + [np.uint8]
+        assert pddt_stats(t).weight_histogram == automaton_histogram(n, 2)
+        rows = list(zip(t.a.tolist(), t.b.tolist(), t.c.tolist()))
+        assert rows == sorted(rows)
+        assert int(max(t.a.max(), t.b.max(), t.c.max())) >> (n - 1) == 1  # the top bit is set
+
     @pytest.mark.parametrize("n", [*range(1, 25), 40])
     def test_builder_order_is_the_table_order(self, monkeypatch, n):
         """The builder sorts its last level on (a, b) alone; the order it
