@@ -1,4 +1,6 @@
-"""Differential knowledge-graph toolkit for the SIMON cipher family."""
+"""Differential knowledge-graph toolkit over xdp⁺, the XOR differentials of
+modular addition: SPECK's non-linear step. SIMON's round is modelled, but
+no table of its own differentials is built yet."""
 
 from .errors import ParameterError
 from .simon import (

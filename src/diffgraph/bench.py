@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .errors import ParameterError
 from .graph import DiffGraph, PathResult, PathSearchWork, find_optimal_paths, rank_key
-from .pddt import _BLOCK, _words, node_columns  # noqa: F401  (_BLOCK: words a block holds)
+from .pddt import _words, node_columns
 
 
 class DominanceError(RuntimeError):

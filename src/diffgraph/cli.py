@@ -167,7 +167,8 @@ def _cmd_bench_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffgraph",
-        description="PDDT and differential knowledge-graph toolkit for SIMON",
+        description="PDDT and differential knowledge-graph toolkit over xdp+, the XOR "
+                    "differentials of modular addition (SPECK's non-linear step)",
     )
     top = parser.add_subparsers(dest="command", required=True)
 

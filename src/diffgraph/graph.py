@@ -210,7 +210,9 @@ class DiffGraph:
     Inside, a node is its position, its rank by id: `_ends` are the edge
     ends' positions, `dp[i]` is 2^-hw of node i, and `successors[i]` and
     `predecessors[i]` are ascending rows of positions with duplicate edges
-    removed, lists built on first read and maybe shared, so never grown.
+    removed, lists maybe shared, so never grown. Each direction is built
+    when it is first read: a search that reads only successors, as Monte
+    Carlo and a one-hop answer do, builds no predecessor rows.
     """
 
     def __init__(self, columns: DifferentialColumns,
@@ -233,7 +235,7 @@ class DiffGraph:
         if dangling.any():
             i = int(dangling.argmax())
             raise ParameterError(f"edge ({src[i]}, {dst[i]}) references a missing node")
-        self._ends = src_at, dst_at
+        self._ends, self._no_row = (src_at, dst_at), []  # the empty row of both directions
 
     def position(self, node_id: int, name: str) -> int:
         """The position of node `node_id`; ParameterError naming it `name` if none."""
@@ -252,11 +254,11 @@ class DiffGraph:
 
     @cached_property
     def successors(self) -> List[List[int]]:
-        return self._rows[0]
+        return self._adjacency(0)
 
     @cached_property
     def predecessors(self) -> List[List[int]]:
-        return self._rows[1]
+        return self._adjacency(1)
 
     @cached_property
     def _biclique(self) -> Optional[_Biclique]:
@@ -274,33 +276,25 @@ class DiffGraph:
             return _Biclique(sources, targets, False)
         return None
 
-    @cached_property
-    def _rows(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Both adjacencies; every node without an edge in one direction
-        shares one empty row there, and in a biclique each u in S shares the
-        row T and each v in T the row S, but for S ∩ T without its loops."""
-        n, biclique, empty = len(self.columns.ids), self._biclique, []
-        successors, predecessors = [empty] * n, [empty] * n
+    def _adjacency(self, side: int) -> List[List[int]]:
+        """The rows of one direction, successors for side 0 and predecessors
+        for side 1. A node without an edge that way has the empty row both
+        directions share; in a biclique each u in S shares the row T, or each
+        v in T the row S, but for S ∩ T without its loops. Otherwise the
+        distinct edge ends, reversed for side 1, are grouped by their first
+        end after one stable sort, which for side 0 only checks them."""
+        rows, biclique = [self._no_row] * len(self.columns.ids), self._biclique
         if biclique is None:
-            return self._edge_rows(successors, predecessors)
-        in_s, in_t, loops = biclique
-        sources, targets = np.flatnonzero(in_s).tolist(), np.flatnonzero(in_t).tolist()
-        for u in sources:
-            successors[u] = targets
-        for v in targets:
-            predecessors[v] = sources
-        for x in [] if loops else np.flatnonzero(in_s & in_t).tolist():
-            successors[x] = [v for v in targets if v != x]
-            predecessors[x] = [u for u in sources if u != x]
-        return successors, predecessors
-
-    def _edge_rows(self, successors: List[List[int]], predecessors: List[List[int]]):
-        """The empty rows filled from the distinct sorted edge ends: successors grouped by
-        source, predecessors by target after one stable sort, so sources ascend in each."""
-        first = _distinct(*self._ends)
-        src, dst = (ends[first] for ends in self._ends)
-        return (_group(successors, src, dst, list),
-                _group(predecessors, *in_order([dst, src], 1), list))
+            first = _distinct(*self._ends)
+            ends = [x[first] for x in (self._ends[::-1] if side else self._ends)]
+            return _group(rows, *in_order(ends, 1), list)
+        owners, others = biclique[side], biclique[1 - side]
+        other = np.flatnonzero(others).tolist()
+        for u in np.flatnonzero(owners).tolist():
+            rows[u] = other
+        for x in [] if biclique.loops else np.flatnonzero(owners & others).tolist():
+            rows[x] = [v for v in other if v != x]
+        return rows
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiffGraph) and self.edges == other.edges
@@ -509,7 +503,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
         return [graph.path_result([src], dp[src])]
     max_hops = min(max_hops, len(dp) - 1)  # no simple path has more hops
 
-    successors, predecessors = graph.successors, graph.predecessors
+    successors = graph.successors
     dist = {dst: 0}  # complete for the distances 0..depth
     frontier = [dst]
     depth = 0
@@ -518,7 +512,7 @@ def find_optimal_paths(graph: DiffGraph, src: int, dst: int, max_hops: int,
         """Add the nodes at distance depth + 1 to dist."""
         nonlocal frontier, depth
         depth += 1
-        reached = []
+        reached, predecessors = [], graph.predecessors
         for v in frontier:
             for u in predecessors[v]:
                 if u not in dist:

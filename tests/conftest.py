@@ -134,6 +134,15 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def traced_held(call):
+    """The result of call() and the bytes traced as still held when it returned."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def shuffled_lines(data: bytes, seed: int) -> bytes:
     """A CSV file with its header line first and its data lines in a seeded random order."""
     head, *lines = data.splitlines(keepends=True)

@@ -22,7 +22,7 @@ from diffgraph.bench import (
     min_weight_leaf_path,
 )
 from diffgraph.graph import DiffGraph, PathResult, to_nodes_csv, to_edges_csv
-from diffgraph.pddt import node_columns
+from diffgraph.pddt import _BLOCK, node_columns
 from diffgraph.simon import ParameterError
 
 
@@ -219,7 +219,7 @@ class TestWords:
             while k >= n:
                 k, used = next(words) >> shift, used + 1
             assert k == rng.choice(range(n))
-        assert used > 3 * bench._BLOCK
+        assert used > 3 * _BLOCK
 
 
 class TestFirstHop:

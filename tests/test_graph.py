@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (any_digraphs, edge_rows, make_diamond, make_hub_sample, make_two_node_graph,
                       node_rows, over_edge_limit_sample, rows_by_id, shuffled_lines, stats_by_id,
-                      traced_peak)
-from diffgraph.bench import McsConfig, compare, mcs_search
+                      traced_held, traced_peak)
+from diffgraph.bench import McsConfig, compare, leaf_paths, mcs_search
 from diffgraph.differential import dyadic_str
 from diffgraph.graph import (
     EXPORT_FORMATS,
@@ -829,7 +829,7 @@ class TestLazyRows:
             graph_stats(g)
             for fmt in EXPORT_FORMATS:
                 export_graph(g, fmt)
-            assert {"dp", "_rows", "successors", "predecessors"}.isdisjoint(vars(g))
+            assert {"dp", "successors", "predecessors"}.isdisjoint(vars(g))
 
             find_optimal_paths(g, 1, 7, 3, 5)
             mcs_search(g, 1, McsConfig(20, seed=1, max_depth=3))
@@ -842,6 +842,27 @@ class TestLazyRows:
                 edgeless = [g.position(u, "edgeless") for u, row in reference.items() if not row]
                 assert edgeless and rows[edgeless[0]] == []
                 assert len({id(rows[i]) for i in edgeless}) == 1  # one shared empty row
+
+    def test_successor_readers_build_no_predecessor_rows(self):
+        """Monte Carlo, leaf paths and a query answered by a direct edge read
+        only successors, so the first read of the predecessors builds their
+        rows; a 2-hop query builds them for its distance levels. The graph is
+        the n=8 table's 10% sample under the default rule, every 7th edge
+        dropped, so its rows are grouped from its edge ends."""
+        sample = sample_pddt(build_pddt(PddtConfig(8, 0.1)), SampleSpec(0.1, True, 3))
+        built = build_graph(sample, default_edge_rule())
+        edges = [e for i, e in enumerate(built.edges) if (i + 1) % 7]
+        g = DiffGraph(built.columns, edges)
+        assert g._biclique is None
+        mcs_search(g, 0, McsConfig(200, seed=5, max_depth=4))
+        leaf_paths(g, 0)
+        assert find_optimal_paths(g, 73, 333, 3, 1) == [PathResult((73, 333), 0.75)]
+        rows, held = traced_held(lambda: g.predecessors)
+        assert held > 8 * len(rows)  # at least the list of its rows
+        g = DiffGraph(built.columns, edges)
+        paths = find_optimal_paths(g, 0, 1505, 3, 10)
+        assert "predecessors" in vars(g) and len(paths[0].node_sequence) == 3
+        assert paths == reference_paths(g, 0, 1505, 3)
 
 
 @st.composite
@@ -1462,6 +1483,23 @@ class TestMemory:
         rows, peak = traced_peak(lambda: (g.dp, g.successors, g.predecessors))
         assert [len(x) for x in rows] == [150_748] * 3 and len(g.edges) == 303_376
         assert peak <= 6 * 2**20
+
+    def test_monte_carlo_holds_no_predecessor_rows(self):
+        """Monte Carlo reads only successors: on the n=12 rule graph less every
+        5th edge, the first search holds 0.52x what it holds with the
+        predecessors also read, where building both directions held 1.00x."""
+        full = build_graph(build_pddt(PddtConfig(12, 0.1)), default_edge_rule())
+        keep = np.arange(len(full.edges)) % 5 != 4
+        e = full.edges
+        edges = Edges(e.src[keep], e.dst[keep], e.codes[keep], e.labels)
+        config, start = McsConfig(1000), int(e.src[0])
+        held = []
+        for read_predecessors in (False, True):
+            g = DiffGraph(full.columns, edges)
+            assert g._biclique is None  # recognised before, as stats do
+            held.append(traced_held(lambda: (mcs_search(g, start, config),
+                                             read_predecessors and g.predecessors))[1])
+        assert held[0] <= 0.7 * held[1]
 
     def test_path_search_keeps_no_level_of_partial_paths(self):
         """On a complete digraph of 30 nodes whose only exit is 0 -> 30, every
