@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--src", type=int, required=True)
     search.add_argument("--playouts", type=int, default=1000)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--max-depth", type=int, default=16)
+    search.add_argument("--seed", type=int, default=bench.McsConfig.seed)
+    search.add_argument("--max-depth", type=int, default=bench.McsConfig.max_depth)
 
     pddt_p = top.add_parser("pddt", help="build, sample and inspect PDDTs")
     pddt_sub = pddt_p.add_subparsers(dest="subcommand", required=True)
@@ -194,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = pddt_sub.add_parser("sample")
     p.add_argument("--input", required=True)
-    p.add_argument("--fraction", type=float, default=0.03)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fraction", type=float, default=SampleSpec.fraction)
+    p.add_argument("--seed", type=int, default=SampleSpec.seed)
     p.add_argument("--no-quota", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pddt_sample)
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-predicate", help="inline rule, e.g. 'output=0'")
     p.add_argument("--target-predicate", help="inline rule, e.g. 'weight>=0.5'")
     p.add_argument("--no-self-loops", action="store_true")
-    p.add_argument("--relation-label", default="OUTPUT_WEIGHT")
+    p.add_argument("--relation-label", default=graphmod.EdgeRule.relation_label)
     p.add_argument("--nodes-out", required=True)
     p.add_argument("--edges-out", required=True)
     p.set_defaults(func=_cmd_graph_build)

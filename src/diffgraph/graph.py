@@ -212,7 +212,8 @@ class DiffGraph:
     `predecessors[i]` are ascending rows of positions with duplicate edges
     removed, lists maybe shared, so never grown. Each direction is built
     when it is first read: a search that reads only successors, as Monte
-    Carlo and a one-hop answer do, builds no predecessor rows.
+    Carlo and a one-hop answer do, builds no predecessor rows; statistics
+    and exports build none.
     """
 
     def __init__(self, columns: DifferentialColumns,
@@ -357,6 +358,8 @@ class GraphStats:
 
 
 def graph_stats(graph: DiffGraph) -> GraphStats:
+    """Counts, degrees, hubs, components and clustering: of a biclique, as every
+    rule's graph is, in the closed form of `_biclique_shape`, else by `_shape`."""
     ids = graph.columns.ids
     # degrees count duplicate edges
     out_deg, in_deg = (np.bincount(ends, minlength=len(ids)) for ends in graph._ends)
@@ -611,7 +614,8 @@ def from_csv(nodes_csv, edges_csv) -> DiffGraph:
     lines, '#' lines and header lines are skipped. An edges line is
     `src_id,dst_id,label`: two decimal ids of at most 18 digits and an
     identifier label. A malformed line raises ValueError naming its
-    1-based line number.
+    1-based line number. Files out of order build the same graph: nodes are put in
+    id order, then edges in edge order, each on the reader's own list.
     """
     *nodes, word_size = decode_differential_csv(nodes_csv)
     graph = DiffGraph.__new__(DiffGraph)  # each of the readers' own lists is checked once

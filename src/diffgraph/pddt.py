@@ -23,7 +23,6 @@ import math
 import os
 import random
 import struct
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, product
@@ -323,9 +322,9 @@ class Lines:
         self.size += len(codes) * start + tails_size
 
     def write(self, out) -> None:
-        """Write the lines to the binary file object `out`, in order. Chunks
-        of rows are laid out on the threads that `_workers` gives for the
-        output's size, each chunk within a thread's share of
+        """Write the lines to the binary file object `out`, in order, laid
+        out in slices of one chunk of rows per thread that `_workers` gives
+        for the output's size, each chunk within a thread's share of
         _WRITE_CHUNK_BYTES; the bytes do not depend on the thread count."""
         if self.size == 0:
             return
@@ -413,26 +412,18 @@ def _workers(size: int) -> int:
 
 def _map_in_order(work, tasks, take, workers: int) -> None:
     """take(work(task)) for each task, in order. With more than one worker
-    and task, work runs on a pool of `workers` threads, at most `workers`
-    tasks ahead of take, which runs on the calling thread; every thread is
-    joined before this returns or raises."""
+    and task, work runs on a pool of `workers` threads a slice of `workers`
+    tasks at a time, so at most `workers` results wait for take, which runs
+    on the calling thread; every thread is joined before this returns or raises."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
             take(work(task))
         return
     with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        try:
-            for task in tasks:
-                if len(pending) == workers:
-                    take(pending.popleft().result())
-                pending.append(pool.submit(work, task))
-            while pending:
-                take(pending.popleft().result())
-        finally:
-            for future in pending:
-                future.cancel()
+        for start in range(0, len(tasks), workers):
+            for result in pool.map(work, tasks[start:start + workers]):
+                take(result)
 
 
 def write_lines(out, parts) -> None:
@@ -598,7 +589,7 @@ def read_columns(data, header: bytes, n: int, dtypes, parse, merge) -> list:
 
     The data is cut into runs of whole lines, each about a thread's share
     of _READ_CHUNK_BYTES, which are split and parsed on the threads that
-    `_workers` gives for the data's size, a run per thread at a time:
+    `_workers` gives for the data's size, in slices of one run per thread:
     parse(fields) gives a run's parts, one per column, and what else it
     found, and notes its bad fields on `fields`; it shares nothing with
     other runs. Then, on the calling thread and in file order, a run with
@@ -897,7 +888,8 @@ _KEY_BLOCK = 1 << 16
 
 def in_order(columns: list, keys: int) -> list:
     """The list, each column replaced by its sorted copy in turn unless the rows of the
-    first `keys` ascend; a list that alone holds its columns frees each old one."""
+    first `keys` ascend; no array is sorted where it lies, so a caller's are left as they
+    were, and a list that alone holds its columns frees each old one."""
     if not ascending(*columns[:keys]):
         _gather(columns, stable_order(*columns[:keys]))
     return columns

@@ -7,8 +7,11 @@ import sys
 import pytest
 
 from conftest import over_edge_limit_sample
+from diffgraph import bench
 from diffgraph.cli import main
 from diffgraph.differential import brute_force_dp
+from diffgraph.graph import EdgeRule, from_csv
+from diffgraph.pddt import Pddt, SampleSpec, sample_pddt
 
 
 def run(tmp_path, *argv):
@@ -80,6 +83,13 @@ class TestPddtCommands:
         assert run(tmp_path, "pddt", "sample", "--input", table, "--fraction", 0.01,
                    "--seed", 3, "--no-quota", "--out", sample) == 0
         assert sample.read_text().startswith("# seed=3 fraction=0.01 quota=0\nid,")
+
+    def test_sample_defaults_are_the_sample_spec_defaults(self, tmp_path):
+        table, sample = tmp_path / "t.csv", tmp_path / "s.csv"
+        run(tmp_path, "pddt", "build", "--n", 8, "--threshold", 0.1, "--out", table)
+        assert run(tmp_path, "pddt", "sample", "--input", table, "--out", sample) == 0
+        expected = sample_pddt(Pddt.from_csv(table.read_bytes()), SampleSpec()).to_csv()
+        assert sample.read_bytes() == b"# seed=0 fraction=0.03\n" + expected
 
     def test_sample_of_no_row_is_runtime_error(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -309,6 +319,14 @@ class TestPipeline:
         rows = [line.split(",") for line in edges.read_text().splitlines()[1:]]
         assert rows and all(label == "HUB" and src != dst for src, dst, label in rows)
 
+    def test_relation_label_defaults_to_the_edge_rule_default(self, tmp_path):
+        table, nodes, edges = tmp_path / "t.csv", tmp_path / "n.csv", tmp_path / "e.csv"
+        run(tmp_path, "pddt", "build", "--n", 4, "--threshold", 0.5, "--out", table)
+        assert run(tmp_path, "graph", "build", "--input", table, "--rule", "default",
+                   "--nodes-out", nodes, "--edges-out", edges) == 0
+        labels = {line.split(",")[2] for line in edges.read_text().splitlines()[1:]}
+        assert labels == {EdgeRule.relation_label}
+
     @pytest.mark.parametrize("label", ["A,B", 'A"<B'])
     def test_relation_label_must_be_identifier(self, tmp_path, capsys, label):
         # 'A,B' used to write an edges file every later graph command rejected
@@ -367,6 +385,21 @@ class TestBenchCommands:
                    "--max-depth", 4) == 0
         out = capsys.readouterr().out
         assert "mcs,3,100" in out and "graph," in out
+
+    def test_compare_defaults_are_the_mcs_config_defaults(self, tmp_path, capsys):
+        # a 20-node chain whose 16-hop path only a depth of 16 or more finds
+        nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+        nodes.write_text("id,input_a,input_b,output,weight,hw\n"
+                         + "".join(f"{i},{i:#x},{i:#x},0x0,0.5,1\n" for i in range(20)))
+        edges.write_text("src_id,dst_id,label\n" + "".join(f"{i},{i + 1},E\n" for i in range(19)))
+        assert run(tmp_path, "bench", "compare", "--nodes", nodes, "--edges", edges,
+                   "--src", 0, "--dst", 16) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        g = from_csv(nodes.read_bytes(), edges.read_bytes())
+        reports = bench.compare(g, 0, 16, bench.McsConfig(1000))
+        assert reports[1].best_path.hops == 16
+        assert ([row.split(",")[:6] for row in printed]
+                == [report.to_csv_row().split(",")[:6] for report in reports])
 
     def test_mcs_unknown_dst_is_runtime_error(self, graph_files, tmp_path, capsys):
         nodes, edges = graph_files

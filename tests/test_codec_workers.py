@@ -6,6 +6,7 @@ spans dozens of them, and check that nothing but the speed changes."""
 
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -181,6 +182,37 @@ class TestThreadsJoined:
         with pytest.raises(ValueError, match="^line 2501: "):
             decode_differential_csv(("\n".join(lines) + "\n").encode())
         assert threading.active_count() == before
+
+
+class TestPoolBound:
+    """_map_in_order runs at most `workers` tasks ahead of take."""
+
+    def test_tasks_started_ahead_of_take(self):
+        started, taken = [], []
+
+        def take(result):
+            time.sleep(0.001)
+            assert len(started) - len(taken) <= 3
+            taken.append(result)
+
+        pddt_module._map_in_order(lambda task: started.append(task) or task, range(30),
+                                  take, 3)
+        assert taken == list(range(30))
+
+    def test_take_that_raises(self):
+        started = []
+
+        def take(result):
+            time.sleep(0.001)
+            if result == 5:
+                raise RuntimeError("take failed")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="take failed"):
+            pddt_module._map_in_order(lambda task: started.append(task) or task,
+                                      list(range(30)), take, 3)
+        assert threading.active_count() == before
+        assert max(started) <= 5 + 3
 
 
 # the first and last id of each digit count, up to the largest id
