@@ -160,10 +160,13 @@ class Pddt:
 
 _WRITE_CHUNK_BYTES = 1 << 20  # of line matrix: wide lines take fewer rows
 _READ_CHUNK_BYTES = 1 << 20  # of input
-# Output or input of fewer bytes is written or read on the calling thread.
-# On 2 vCPUs a pool gained nothing below it: a 32 MB table took 0.165 s to
-# write and 0.41 s to read alone, 0.176 s and 0.43 s on two threads, and
-# the threads' malloc arenas kept about 6 MB more resident.
+# Input of fewer bytes is read on the calling thread. On 2 vCPUs a pool
+# gained nothing below it: a 32 MB table took 0.41 s to read alone and
+# 0.43 s on two threads, and the threads' malloc arenas kept about 6 MB
+# more resident. Output of any size is written on the calling thread, where
+# a pool gained nothing at all: the 192 MB n=32 table took 0.527 s to write
+# alone and 0.552 s on two threads (medians of 16 alternating runs), while
+# its read took 1.08 s alone and 0.93 s on two threads.
 _POOL_BYTES = 1 << 25
 
 _MAX_HEX_DIGITS = 16   # a uint64 column
@@ -322,16 +325,14 @@ class Lines:
         self.size += len(codes) * start + tails_size
 
     def write(self, out) -> None:
-        """Write the lines to the binary file object `out`, in order, laid
-        out in slices of one chunk of rows per thread that `_workers` gives
-        for the output's size, each chunk within a thread's share of
-        _WRITE_CHUNK_BYTES; the bytes do not depend on the thread count."""
+        """Write the lines to the binary file object `out`, in order, on the
+        calling thread: each chunk of rows, within _WRITE_CHUNK_BYTES, is
+        written as soon as it is laid out."""
         if self.size == 0:
             return
-        workers = _workers(self.size)
-        step = max(1, _WRITE_CHUNK_BYTES // (workers * self.line_width))
-        _map_in_order(lambda lo: self._chunk(lo, lo + step), range(0, len(self.codes), step),
-                      out.write, workers)
+        step = max(1, _WRITE_CHUNK_BYTES // self.line_width)
+        for lo in range(0, len(self.codes), step):
+            out.write(self._chunk(lo, lo + step))
 
     def _chunk(self, lo: int, hi: int) -> np.ndarray:
         """The bytes of the lines of rows lo..hi - 1."""
@@ -404,12 +405,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(size: int) -> int:
-    """The threads for a file of `size` bytes: one for every CPU the process
-    may use from _POOL_BYTES on, else the calling thread alone."""
-    return _cpus() if size >= _POOL_BYTES else 1
-
-
 def _map_in_order(work, tasks, take, workers: int) -> None:
     """take(work(task)) for each task, in order. With more than one worker
     and task, work runs on a pool of `workers` threads a slice of `workers`
@@ -424,6 +419,7 @@ def _map_in_order(work, tasks, take, workers: int) -> None:
         for start in range(0, len(tasks), workers):
             for result in pool.map(work, tasks[start:start + workers]):
                 take(result)
+            del result  # not held while the next slice runs
 
 
 def write_lines(out, parts) -> None:
@@ -588,8 +584,9 @@ def read_columns(data, header: bytes, n: int, dtypes, parse, merge) -> list:
     """Columns of the given dtypes, filled from the data lines of `data`, bytes or an mmap.
 
     The data is cut into runs of whole lines, each about a thread's share
-    of _READ_CHUNK_BYTES, which are split and parsed on the threads that
-    `_workers` gives for the data's size, in slices of one run per thread:
+    of _READ_CHUNK_BYTES, which are split and parsed on one thread for
+    every CPU the process may use from _POOL_BYTES of data on, else on the
+    calling thread alone, in slices of one run per thread:
     parse(fields) gives a run's parts, one per column, and what else it
     found, and notes its bad fields on `fields`; it shares nothing with
     other runs. Then, on the calling thread and in file order, a run with
@@ -599,7 +596,7 @@ def read_columns(data, header: bytes, n: int, dtypes, parse, merge) -> list:
     Blank lines and lines starting with '#' or with `header` are skipped;
     every other line should have n fields.
     """
-    workers = _workers(len(data))
+    workers = _cpus() if len(data) >= _POOL_BYTES else 1
     runs, lines_before, pos = [], 0, 0  # (first byte, end, newlines before)
     while pos < len(data):
         end = data.find(b"\n", min(pos + max(1, _READ_CHUNK_BYTES // workers), len(data)) - 1)

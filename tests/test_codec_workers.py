@@ -1,12 +1,15 @@
 """The line codec on any number of CPUs: for a file of _POOL_BYTES or more,
-the writer lays out chunks and the readers split runs on a thread pool
-sized by the CPUs the process may use. These tests force that count for
-files of any size and shrink the chunks and runs, so that every input
-spans dozens of them, and check that nothing but the speed changes."""
+the readers split runs on a thread pool sized by the CPUs the process may
+use, and the writer builds its chunks on the calling thread whatever the
+size. These tests force that count for files of any size and shrink the
+chunks and runs, so that every input spans dozens of them, and check that
+nothing but the speed changes."""
 
+import io
 import re
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,12 +28,12 @@ WORKERS = [1, 2, 3]
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Run the codec on `workers` threads whatever the file's size, at most
-    16 rows to a written chunk (every line written here is 24 bytes or
-    wider) and about 600 bytes of input to a read run."""
+    """Read on `workers` threads whatever the file's size, with at most 16
+    rows to a written chunk (every line written here is 24 bytes or wider)
+    and about 600 bytes of input to a read run."""
     monkeypatch.setattr(pddt_module, "_cpus", lambda: workers)
     monkeypatch.setattr(pddt_module, "_POOL_BYTES", 0)
-    monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 16 * 24 * workers)
+    monkeypatch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 16 * 24)
     monkeypatch.setattr(pddt_module, "_READ_CHUNK_BYTES", 600 * workers)
 
 
@@ -154,6 +157,15 @@ def test_small_file_starts_no_thread(monkeypatch, expected):
     assert Pddt(8, *decoded[1:5]).to_csv() == expected[0]
 
 
+def test_large_write_starts_no_thread(monkeypatch, table, graphs, expected):
+    force_workers(monkeypatch, 4)
+    monkeypatch.setattr(threading.Thread, "start", lambda *args: pytest.fail("thread started"))
+    assert outputs(table, graphs) == expected
+    sink = io.BytesIO()
+    table.write_csv(sink)
+    assert sink.getvalue() == expected[0]
+
+
 class TestThreadsJoined:
     def test_after_read_and_write(self, workers, table, expected):
         before = threading.active_count()
@@ -185,7 +197,8 @@ class TestThreadsJoined:
 
 
 class TestPoolBound:
-    """_map_in_order runs at most `workers` tasks ahead of take."""
+    """_map_in_order runs at most `workers` tasks ahead of take, and holds
+    no result of a slice while the next slice runs."""
 
     def test_tasks_started_ahead_of_take(self):
         started, taken = [], []
@@ -213,6 +226,22 @@ class TestPoolBound:
                                       list(range(30)), take, 3)
         assert threading.active_count() == before
         assert max(started) <= 5 + 3
+
+    def test_results_of_a_slice_released_before_the_next(self):
+        class Result:
+            pass
+
+        taken, alive = [], []  # a weak reference per taken result
+
+        def work(task):
+            time.sleep(0.001)  # lets a thread drop the work item it has finished
+            earlier_slices = taken[:task - task % 3]
+            alive.append(sum(ref() is not None for ref in earlier_slices))
+            return Result()
+
+        pddt_module._map_in_order(work, list(range(12)),
+                                  lambda result: taken.append(weakref.ref(result)), 3)
+        assert len(taken) == 12 and alive == [0] * 12
 
 
 # the first and last id of each digit count, up to the largest id
@@ -247,5 +276,5 @@ def test_rows_match_the_reference_formatter(rows, workers):
     with pytest.MonkeyPatch.context() as patch:
         force_workers(patch, workers)
         # at most 3 rows to a chunk: these lines are 21 bytes or wider
-        patch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 3 * 21 * workers)
+        patch.setattr(pddt_module, "_WRITE_CHUNK_BYTES", 3 * 21)
         assert join_lines(differential_csv("h", ids, a, b, c, hw, n)) == ("h\n" + want).encode()
